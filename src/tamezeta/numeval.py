@@ -20,8 +20,8 @@ Evaluation is absolute-error targeted at ``ctx.target_eps`` and runs at an
 internally elevated precision: reorganizing difference operators into
 shifts produces binomial-sized weights whose cancellation is paid for with
 extra working bits, never with accuracy.  Summations are deterministic
-(ascending shift order, fixed truncations), so results do not depend on
-scheduling.
+(ascending shift order, truncations chosen from the arguments alone), so
+results do not depend on scheduling.
 """
 from __future__ import annotations
 
@@ -223,8 +223,16 @@ def hurwitz_oracle(s, t, ctx: ApproxContext) -> EvalResult:
         return _result(value, "hurwitz-em", used, bound, ctx)
 
 
+def _em_coeff(k, work):
+    """B_2k / (2k)!"""
+    return as_mpf(bernoulli_number(2 * k), work) / as_mpf(factorial(2 * k), work)
+
+
 def _hurwitz_em(sc, tc, eps, work, max_terms):
-    """Euler-Maclaurin core; returns (value, head length, remainder bound)."""
+    """Euler-Maclaurin core; returns (value, head length, remainder bound).
+
+    Stops at the first order whose remainder bound is at most eps.  K caps
+    the order and sets the head length; a cap too low is doubled."""
     K = max(10, int(0.18 * work) + 2)
     bound = None
     for _ in range(6):
@@ -239,20 +247,24 @@ def _hurwitz_em(sc, tc, eps, work, max_terms):
         for n in range(N):
             head += (tc + n) ** (-sc)
         a = tc + N
-        tail = a ** (1 - sc) / (sc - 1) + a ** (-sc) / 2
-        rising = sc
-        apow = a ** (-sc - 1)
+        a_s = a ** (-sc)
+        tail = a_s * (a / (sc - 1) + mpmath.mpf(1) / 2)
+        rising = sc  # (s)_(2k-1), rising factorial
+        apow = a_s / a  # a^(-s-2k+1)
+        coeff = _em_coeff(1, work)
         for k in range(1, K + 1):
-            coeff = as_mpf(bernoulli_number(2 * k), work) / as_mpf(factorial(2 * k), work)
             tail += coeff * rising * apow
             rising = rising * (sc + 2 * k - 1) * (sc + 2 * k)
             apow = apow / (a * a)
-            if k == K:
-                nxt = as_mpf(bernoulli_number(2 * k + 2), work) / as_mpf(factorial(2 * k + 2), work)
+            coeff = _em_coeff(k + 1, work)
+            if sc.real + 2 * k + 1 > 1:
+                # DLMF 2.10.1: the remainder after k orders is the integral of
+                # (B_2k+2 - B~_2k+2(x))/(2k+2)! f^(2k+2), and
+                # |B_2k+2 - B~_2k+2(x)| <= 2 |B_2k+2|
                 slack = abs(sc + 2 * k + 1) / (sc.real + 2 * k + 1)
-                bound = abs(nxt * rising * apow) * slack
-        if bound is not None and bound <= eps:
-            return head + tail, N, bound
+                bound = 2 * abs(coeff * rising * apow) * slack
+                if bound <= eps:
+                    return head + tail, N, bound
         K = 2 * K
     raise SlowConvergenceError("Euler-Maclaurin failed to reach tolerance", {"bound": bound})
 
@@ -468,7 +480,8 @@ def _direct_attempt(desc, model, sc, tc, N, K, eps, work, ctx):
         if poly.is_zero():
             continue
         n0 = N + ((r - N) % m)
-        val, b = _em_class_tail(poly, sc, tc, m, n0, K, work)
+        # m classes at eps/(2m) each leave eps/2 for the rest tails below
+        val, b = _em_class_tail(poly, sc, tc, m, n0, K, eps / (2 * m), work)
         tail += val
         bound += b
     if model.rest_ratio is not None:
@@ -486,49 +499,47 @@ def _direct_attempt(desc, model, sc, tc, N, K, eps, work, ctx):
     return head + tail, bound, used
 
 
-def _em_class_tail(poly: Poly, sc, tc, m, n0, K, work):
+def _em_class_tail(poly: Poly, sc, tc, m, n0, K, eps, work):
     """sum_{j>=0} poly(n0+jm) (tc+n0+jm)^(-sc), Euler-Maclaurin with bound.
 
-    poly is re-expanded in powers of (tc+x), so h(x) = sum_i d_i (tc+x)^(i-s)
-    has closed-form derivatives and integral."""
+    poly is re-expanded in powers of (tc+x), so h(y) = sum_i d_i y^(i-s)
+    has closed-form derivatives and integral.  Order k subtracts
+    B_2k/(2k)! m^(2k-1) sum_i P_i with P_i = d_i (i-s)_(2k-1) a^(i-s-2k+1)
+    (falling factorial); each P_i passes to the next order by one
+    multiplication, so a^(-s) is the only complex power.  Stops at the
+    first order whose remainder bound is at most eps, or at order K."""
     with mp.workprec(work):
         shifted = recenter(poly.map(lambda c: as_mpc(c, work)), -tc)
-        ds = list(shifted.coeffs)
         a = tc + n0
+        a_pow = a ** (-sc)  # a^(i-s) for i = 0, 1, ...
         value = mpmath.mpc(0)
-        for i, d in enumerate(ds):
+        terms = []  # (i, P_i)
+        for i, d in enumerate(shifted.coeffs):
             if d != 0:
-                value += d * a ** (i - sc + 1) / (sc - i - 1) / m
-        value += _h_derivative(ds, sc, a, 0) / 2
+                value += d * a_pow * (a / (sc - i - 1) / m + mpmath.mpf(1) / 2)
+                terms.append((i, d * (i - sc) * a_pow / a))
+            a_pow *= a
+        m2 = mpmath.mpf(m * m)
+        a2 = a * a
+        mpow = 1 / mpmath.mpf(m)  # m^(2k-1)
+        # 2 zeta(2k)/(2 pi)^(2k) <= 4/(2 pi)^(2k) for k >= 1: crude but safe
+        zfac = mpmath.mpf(4)
+        two_pi2 = 4 * mpmath.pi * mpmath.pi
         bound = None
         for k in range(1, K + 1):
-            b2k = as_mpf(bernoulli_number(2 * k), work) / as_mpf(factorial(2 * k), work)
-            value -= b2k * _h_derivative(ds, sc, a, 2 * k - 1) * mpmath.mpf(m) ** (2 * k - 1)
-            if k == K:
-                int_bound = mpmath.mpf(0)
-                for i, d in enumerate(ds):
-                    if d != 0:
-                        denom = sc.real + 2 * k - i - 1
-                        if denom <= 0:
-                            raise SlowConvergenceError("EM class tail: degree exceeds order")
-                        int_bound += (
-                            abs(d) * _falling_abs(i - sc, 2 * k) * a ** (i - sc.real - 2 * k + 1) / denom
-                        )
-                # 2 zeta(2k) <= 4 for k >= 1: a crude but safe constant
-                zfac = 4 / (2 * mpmath.pi) ** (2 * k)
-                bound = zfac * int_bound * mpmath.mpf(m) ** (2 * k - 1)
+            mpow *= m2
+            zfac /= two_pi2
+            value -= _em_coeff(k, work) * mpow * sum(p for _, p in terms)
+            if all(sc.real + 2 * k - i - 1 > 0 for i, _ in terms):
+                # m^(2k-1) times the integral of |h^(2k)| over [a, oo)
+                int_bound = sum(abs(p) * abs(i - sc - 2 * k + 1) / (sc.real + 2 * k - i - 1) for i, p in terms)
+                bound = zfac * int_bound * mpow
+                if bound <= eps:
+                    break
+            elif k == K:
+                raise SlowConvergenceError("EM class tail: degree exceeds order")
+            terms = [(i, p * (i - sc - 2 * k + 1) * (i - sc - 2 * k) / a2) for i, p in terms]
         return value, bound
-
-
-def _h_derivative(ds, sc, a, order):
-    acc = mpmath.mpc(0)
-    for i, d in enumerate(ds):
-        if d != 0:
-            ff = mpmath.mpc(1)
-            for j in range(order):
-                ff *= i - sc - j
-            acc += d * ff * a ** (i - sc - order)
-    return acc
 
 
 def _falling_abs(x, order):

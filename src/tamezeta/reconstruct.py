@@ -140,11 +140,10 @@ def laurent_from_polys(nu: int, polys) -> LaurentAtOne:
     K = len(polys) - 1
     if K < max(nu - 1, 0):
         raise ValueError("need polynomials up to index >= nu-1")
-    if nu == 0 and all(q.is_zero() for q in polys):
-        # the identically-zero series: empty Laurent data
-        return LaurentAtOne(0, (), tuple(Fraction(0) for _ in range(K + 1)))
     for n, q in enumerate(polys):
-        if q.degree != n:
+        # deg B[n] = n exactly when nu > 0; a pole-free series may have
+        # leading coefficient alpha(1) = 0 and then lower degrees
+        if q.degree > n or (nu and q.degree != n):
             raise ValueError("inconsistent Bernoulli data: deg B[%d] = %d" % (n, q.degree))
     sign = Fraction((-1) ** nu)
     if nu:

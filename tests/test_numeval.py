@@ -1,7 +1,7 @@
 import itertools
 import random
 from fractions import Fraction as F
-from math import factorial
+from math import comb, factorial
 
 import mpmath
 import pytest
@@ -113,6 +113,46 @@ def test_direct_sum_examples():
 def test_direct_sum_tail_bound_recorded():
     r = direct_sum(GEO, 2, 1, CTX)
     assert float(r.tail_bound) <= CTX.target_eps
+
+
+def _hurwitz_combination(classes, m, s, t):
+    """sum_{n>=0} p_(n mod m)(n) (t+n)^(-s) from mpmath's Hurwitz zeta.
+
+    classes maps r to the coefficients of p_r in powers of n; writing
+    p_r(n) = sum_i g_i (t+n)^i with t+n = m((t+r)/m + j) gives
+    sum_i g_i m^(i-s) zeta(s-i, (t+r)/m)."""
+    acc = mpmath.mpc(0)
+    for r, cs in classes.items():
+        for i in range(len(cs)):
+            # coefficient of (t+n)^i in sum_k c_k ((t+n) - t)^k
+            g = sum(c * comb(k, i) * (-t) ** (k - i) for k, c in enumerate(cs) if k >= i)
+            acc += g * mpmath.mpf(m) ** (i - s) * mpmath.zeta(s - i, (t + r) / m)
+    return acc
+
+
+def test_direct_sum_near_abscissa_vs_hurwitz_zeta():
+    # Re s = nu + 0.51: the Euler-Maclaurin tails carry most of the value
+    chi7 = (1, 1, -1, 1, -1, -1, 0)
+    members = [
+        ("hurwitz", GEO, 1, 1, {0: [1]}),
+        ("eta", ETA, 0, 2, {0: [1], 1: [-1]}),
+        ("dirichletL-7", catalog_descriptor("dirichletL", modulus=7), 0, 7, {r: [c] for r, c in enumerate(chi7)}),
+        ("barnes-1,1", BARNES, 2, 1, {0: [1, 1]}),
+    ]
+    eps = mpmath.mpf(CTX.target_eps)
+    for label, desc, nu, m, classes in members:
+        assert laurent_at_one(desc, 1).nu == nu
+        for im, t in ((0.5, F(1)), (-8, F(1, 2)), (8, F(7, 3))):
+            s = mpmath.mpc(nu + 0.51, im)
+            r = direct_sum(desc, s, t, CTX)
+            assert r.tail_bound <= eps, (label, s, t)
+            with mp.workprec(192):
+                ref = _hurwitz_combination(classes, m, mpmath.mpc(s), mpmath.mpf(t.numerator) / t.denominator)
+                v = r.mpc()
+                err = abs(v - ref)
+                assert err <= eps, (label, s, t, err)
+                slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(v))
+                assert err <= r.tail_bound + slack, (label, s, t, err, r.tail_bound)
 
 
 def test_oracle_eval_examples():

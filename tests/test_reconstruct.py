@@ -129,3 +129,22 @@ def test_values_only_dependence_on_nu():
     truth = laurent_at_one(ETA, 8)
     assert laur.nu == 0
     assert laur.phis[:8] == truth.phis[:8]
+
+
+def test_dirichlet_from_data_pole_free_with_alpha_one_zero():
+    # alpha(1) = 0 lowers every deg B[n] below n: the even real characters
+    # and a rational form with a zero at z = 1
+    members = [
+        catalog_descriptor("dirichletL", modulus=5, chi=(1, -1, -1, 1, 0)),
+        catalog_descriptor("dirichletL", modulus=8, chi=(1, 0, -1, 0, -1, 0, 1, 0)),
+        catalog_descriptor("dirichletL", modulus=12, chi=(1, 0, 0, 0, -1, 0, -1, 0, 0, 0, 1, 0)),
+        RationalDescriptor((1, -1), (1, 1, 1)),
+    ]
+    for desc in members:
+        truth = laurent_at_one(desc, 12)
+        for t0 in (F(1), F(1, 2)):
+            rep = analyze(desc, t0, 12)
+            data = ContinuationData(t0, rep.pole_set, (), rep.special_values)
+            laur, _ = dirichlet_from_data(data)
+            assert laur.nu == 0 and laur.ks == ()
+            assert laur.phis == truth.phis[: len(laur.phis)]
