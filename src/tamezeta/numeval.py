@@ -42,6 +42,7 @@ from .tame import (
     LerchDescriptor,
     MultiPowerExpansion,
     NotTameError,
+    alpha_evaluator,
     as_rational_fn,
     build_shifted_multipower,
     coeffs,
@@ -194,7 +195,9 @@ def lower_gamma_star(s, z, prec: int | None = None) -> mpmath.mpc:
                 term = (zc**k) * recip_gamma(sc + k + 1, p + 32)
             else:
                 term = term * zc / (sc + k)
-            if abs(term) < floor * max(1, abs(acc)) and k > 4 + int(abs(zc)):
+            # relative floor: the value is tiny for large s, and a zero term
+            # with acc = 0 (s a negative integer) must not stop the sum
+            if abs(term) < floor * abs(acc) and k > 4 + int(abs(zc)):
                 break
         return mpmath.exp(-zc) * acc
 
@@ -975,9 +978,12 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext, epsilon=None) -> EvalResult:
         + (1/Gamma(s)) int_eps^infty e^(-ut) alpha(e^(-u)) u^(s-1) du
 
     where psi_n are the Taylor coefficients of alpha(e^(-u)) at u=0 and
-    eps < their convergence radius.  The integrand is evaluated by summing
-    the coefficient series at z = e^(-u) < 1; the integral uses tanh-sinh
-    panels with a certified cutoff.
+    eps < their convergence radius.  The head takes gamma*(s+nh, t eps)
+    once and the rest by the downward recurrence
+    gamma*(a, z) = z gamma*(a+1, z) + e^(-z)/Gamma(a+1) (DLMF 8.8.1).  The
+    integrand evaluates alpha in closed form (:func:`tame.alpha_evaluator`);
+    the integral uses nested tanh-sinh levels with a certified cutoff, both
+    run to eps/max(1, |1/Gamma(s)|) since their error is scaled by 1/Gamma(s).
     """
     from .bernoulli import todd_series
 
@@ -1003,29 +1009,49 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext, epsilon=None) -> EvalResult:
         nh = int(mpmath.ceil((eps_b + 16) * mpmath.log(2) / -mpmath.log(ratio))) + 8
         laur_full = laurent_at_one(desc, nh + 2, prec=work)
         td = todd_series(laur_full, nh)
+        gstar, inv_gamma = _gamma_star_down(sc, tc * epsilon, nh, work + 16)
         head = mpmath.mpc(0)
         rising = mpmath.mpc(1)
+        eps_n = mpmath.mpf(1)
         max_scaled = mpmath.mpf(0)
         for n in range(nh + 1):
             psi_n = _embed(td.taus[n], work) * ((-1) ** n) / as_mpf(factorial(n), work)
-            g = lower_gamma_star(sc + n, tc * epsilon, work)
-            term = psi_n * epsilon**n * rising * g
+            term = psi_n * eps_n * rising * gstar[n]
             head += term
             if n > nh // 2:
                 max_scaled = max(max_scaled, abs(term) / ratio**n)
             rising = rising * (sc + n)
+            eps_n = eps_n * epsilon
         eps_pow = mpmath.power(epsilon, sc)
         head = eps_pow * head
         head_tail = abs(eps_pow) * max_scaled * ratio ** (nh + 1) / (1 - ratio)
-        inv_gamma = recip_gamma(sc, work)
         x = sc.real
-        upper = _tail_cutoff(desc, x, tc, eps, work)
-        integrand = _make_integrand(desc, sc, tc, work, eps)
-        integral, quad_err = _tanh_sinh(integrand, epsilon, upper, work, eps / 4)
+        quad_eps = eps / max(1, abs(inv_gamma))
+        upper = _tail_cutoff(desc, x, tc, quad_eps, work)
+        integrand = _make_integrand(desc, sc, tc, work)
+        integral, quad_err = _tanh_sinh(integrand, epsilon, upper, work, quad_eps / 4)
         beyond = _beyond_bound(desc, x, tc, upper, work)
         value = head + inv_gamma * integral
         bound = head_tail + abs(inv_gamma) * (quad_err + beyond)
         return _result(value, "incomplete-gamma", nh, bound, ctx)
+
+
+def _gamma_star_down(sc, z, nh, prec):
+    """gamma*(s+n, z) for n = 0..nh, and 1/Gamma(s).
+
+    One series value at n = nh, then downward; the forward recurrence
+    subtracts and is unstable."""
+    with mp.workprec(prec):
+        g = lower_gamma_star(sc + nh, z, prec)
+        rg = recip_gamma(sc + nh + 1, prec)  # 1/Gamma(s+n+1) at n = nh
+        ez = mpmath.exp(-z)
+        out = [g]
+        for n in range(nh - 1, -1, -1):
+            rg = rg * (sc + n + 1)
+            g = z * g + ez * rg
+            out.append(g)
+        out.reverse()
+        return out, rg * sc
 
 
 def _exp_radius(desc, work):
@@ -1068,73 +1094,53 @@ def _alpha_sup_bound(desc, u, work):
         return acc / (1 - z) + 1
 
 
-def _make_integrand(desc, sc, tc, work, eps):
+def _make_integrand(desc, sc, tc, work):
+    alpha = alpha_evaluator(desc, work)
+
     def f(u):
         with mp.workprec(work):
-            z = mpmath.exp(-u)
-            return mpmath.exp(-u * tc) * _alpha_partial(desc, z, work, eps) * u ** (sc - 1)
+            return mpmath.exp(-u * tc) * alpha(mpmath.exp(-u)) * u ** (sc - 1)
 
     return f
 
 
-def _alpha_partial(desc, z, work, eps):
-    """alpha(z) for 0 < z < 1 by partial sums of the coefficient stream."""
-    with mp.workprec(work):
-        acc = mpmath.mpc(0)
-        block = 64
-        n = 0
-        zn = mpmath.mpc(1)
-        floor = eps / 16
-        while True:
-            stream = coeffs(desc, n + block, prec=work)
-            mx = mpmath.mpf(0)
-            for j in range(n, n + block):
-                term = as_mpc(stream[j], work) * zn
-                acc += term
-                mx = max(mx, abs(term))
-                zn *= z
-            n += block
-            if mx / (1 - abs(z)) < floor:
-                return acc
-            if n > 200000:
-                raise SlowConvergenceError("alpha partial sums stalled near z = 1")
-
-
 def _tanh_sinh(f, a, b, work, eps):
-    """Tanh-sinh quadrature on [a, b], doubling node density per level."""
+    """Tanh-sinh quadrature on [a, b], halving the step h per level.
+
+    Level l+1 keeps the nodes of level l (the even multiples of its step),
+    so it adds only the odd multiples to the running sum of w f."""
     with mp.workprec(work):
         a = as_mpf(a, work)
         b = as_mpf(b, work)
         half = (b - a) / 2
         mid = (b + a) / 2
         pi_half = mpmath.pi / 2
+        tiny = mpmath.mpf(2) ** (-work - 8)
+        raw = mpmath.mpc(0)
         prev = None
-        level = 3
-        while level <= 12:
+        for level in range(3, 13):
             h = mpmath.mpf(3) / 2 ** (level - 1)
-            acc = mpmath.mpc(0)
-            k = 0
+            k, step = (0, 1) if prev is None else (1, 2)
             while True:
                 tau = k * h
                 sh = mpmath.sinh(tau)
                 x = mpmath.tanh(pi_half * sh)
                 w = pi_half * mpmath.cosh(tau) / mpmath.cosh(pi_half * sh) ** 2
-                if k > 4 and abs(half * w) < mpmath.mpf(2) ** (-work - 8):
+                if k > 4 and abs(half * w) < tiny:
                     break
                 points = [mid] if k == 0 else [mid + half * x, mid - half * x]
                 for p_ in points:
                     if a < p_ < b:
-                        acc += w * f(p_)
-                k += 1
+                        raw += w * f(p_)
+                k += step
                 if k > 40 * 2**level:
                     break
-            total = acc * half * h
+            total = raw * half * h
             if prev is not None:
                 err = abs(total - prev)
                 if err <= eps:
                     return total, err
             prev = total
-            level += 1
         raise SlowConvergenceError("tanh-sinh quadrature did not converge")
 
 

@@ -47,6 +47,7 @@ __all__ = [
     "MPTerm",
     "MultiPowerExpansion",
     "coeffs",
+    "alpha_evaluator",
     "laurent_at_one",
     "plan_exponents",
     "build_multipower",
@@ -246,6 +247,44 @@ def coeffs(desc, count: int, prec: int | None = None) -> list:
     p = prec if prec is not None else mp.prec
     cached = _coeffs_cached(desc, _pow2_at_least(count), p)
     return list(cached[:count])
+
+
+def alpha_evaluator(desc, prec: int):
+    """alpha(z) at a scalar z with 0 < |z| < 1, from its closed form.
+
+    Horner num/den for every descriptor with a rational form, 1/(1 - w z)
+    for Lerch at an inexact w, and for central-binomial the arcsine form
+    of :func:`_central_binomial_alpha_series`.  Returns a function of z
+    evaluating at ``prec`` bits.
+    """
+    rf = as_rational_fn(desc)
+    if rf is not None:
+        num = [as_mpf(c, prec) for c in reversed(rf.num.coeffs)]
+        den = [as_mpf(c, prec) for c in reversed(rf.den.coeffs)]
+
+        def alpha(z):
+            with mp.workprec(prec):
+                return mpmath.polyval(num, z) / mpmath.polyval(den, z)
+
+        return alpha
+    if isinstance(desc, LerchDescriptor):
+        w = as_mpc(desc.w, prec)
+
+        def alpha(z):
+            with mp.workprec(prec):
+                return 1 / (1 - w * z)
+
+        return alpha
+    if isinstance(desc, BuiltinDescriptor) and desc.name == "central-binomial":
+
+        def alpha(z):
+            with mp.workprec(prec):
+                r = mpmath.sqrt(z)
+                four_minus = 4 - z
+                return (1 + 4 * mpmath.asin(r / 2) / (r * mpmath.sqrt(four_minus))) / four_minus
+
+        return alpha
+    raise TypeError("no closed form for alpha of %r" % (desc,))
 
 
 def _pow2_at_least(count: int) -> int:

@@ -24,6 +24,7 @@ from tamezeta.numeval import (
     oracle_eval,
     recip_gamma,
     shift_weights_exact,
+    _tanh_sinh,
 )
 from tamezeta.scalar import ApproxContext, agree_within, binomial
 from tamezeta.series import Poly, TruncSeries
@@ -71,6 +72,34 @@ def test_lower_gamma_star_normalization():
         # entire across Gamma poles, with gamma*(-n, z) = z^n exactly
         v = lower_gamma_star(-3, F(1, 2), 160)
         assert agree_within(v, F(1, 8), 1e-30)
+
+
+def _gamma_star_reference(a, z):
+    """z^(-a) gamma(a, z)/Gamma(a), or its limit z^m at a = -m."""
+    if a.imag == 0 and a.real <= 0 and a.real == mpmath.floor(a.real):
+        return z ** (-a)
+    return z ** (-a) * mpmath.gammainc(a, 0, z) / mpmath.gamma(a)
+
+
+def test_lower_gamma_star_relative_at_large_index():
+    # the incomplete-gamma head multiplies gamma*(s+n, z) by (s)_n, so the
+    # tiny values at large n must be right in relative terms
+    # z = log(4)/2 is the central-binomial head argument at t = 1; every z
+    # is a 53-bit float, so both sides see the same argument
+    points = (
+        (mpmath.mpc(-85 / 256, 1785 / 512), mpmath.log(4) / 2),
+        (mpmath.mpc(-3), mpmath.mpf(0.5)),
+        (mpmath.mpc(-2.5, 3.7), mpmath.mpf(7) / 3),
+        (mpmath.mpc(0.3, 2), mpmath.mpf(1)),
+    )
+    for s, z in points:
+        for n in range(71):
+            with mp.workprec(400):
+                a = s + n
+                ref = _gamma_star_reference(a, z)
+            v = lower_gamma_star(a, z, 128)
+            with mp.workprec(400):
+                assert abs(v - ref) <= mpmath.mpf(2) ** -128 * abs(ref), (s, n)
 
 
 def test_hurwitz_oracle_examples():
@@ -325,6 +354,53 @@ def test_incgamma_examples():
         incgamma_eval(GEO, 2, 1, CTX)  # nu = 1 is out of scope
     with pytest.raises(RegionError):
         incgamma_eval(ETA, 2, 1, CTX, epsilon=100)  # outside the radius
+
+
+def test_incgamma_bounds_hold_where_they_used_to_fail():
+    # each point was once outside its own bound or above eps: the gamma-star
+    # head lost relative accuracy at large n, and the quadrature ran to eps
+    # although its error is multiplied by |1/Gamma(s)|
+    ref_ctx = ApproxContext(precision_bits=192, target_eps=1e-45)
+    ctx64 = ApproxContext(precision_bits=64, target_eps=1e-12)
+    points = [
+        (catalog_descriptor("central-binomial"), mpmath.mpc(-85 / 256, 1785 / 512), F(1), CTX),
+        (catalog_descriptor("lerch"), mpmath.mpc(0.7, 1.2), F(1), CTX),
+        (catalog_descriptor("dirichletL", modulus=7), mpmath.mpc(0.3, 2), F(1), CTX),
+        (ETA, mpmath.mpc(-2.5, 3.7), F(7, 3), CTX),
+        (catalog_descriptor("dirichletL", modulus=3), mpmath.mpc(-1.444, -2.125), F(1), ctx64),
+    ]
+    for desc, s, t, ctx in points:
+        r = incgamma_eval(desc, s, t, ctx)
+        ref = continue_dirichlet(desc, s, t, ref_ctx)
+        assert r.tail_bound <= ctx.target_eps, (desc, s)
+        with mp.workprec(192):
+            v = r.mpc()
+            err = abs(v - ref.mpc())
+            slack = mpmath.mpf(2) ** (2 - ctx.precision_bits) * max(1, abs(v))
+            assert err <= r.tail_bound + slack, (desc, s, err, r.tail_bound)
+
+
+def test_tanh_sinh_evaluates_each_node_once():
+    seen = []
+
+    def f(u):
+        seen.append(u)
+        return mpmath.exp(-u) * u ** mpmath.mpc(0.5, 1)
+
+    with mp.workprec(160):
+        _tanh_sinh(f, 1, 8, 160, mpmath.mpf(10) ** -40)
+    assert len(seen) == len(set(seen))
+
+
+def test_tanh_sinh_matches_incomplete_gamma():
+    # int_1^8 e^(-u) u^(s-1) du = Gamma(s, 1) - Gamma(s, 8)
+    eps = mpmath.mpf(10) ** -30
+    for s in (mpmath.mpc(0.5, 1), mpmath.mpc(-2.5, 3.7), mpmath.mpc(3, 0)):
+        with mp.workprec(160):
+            got, err = _tanh_sinh(lambda u: mpmath.exp(-u) * u ** (s - 1), 1, 8, 160, eps)
+            ref = mpmath.gammainc(s, 1, 8)
+            assert err <= eps
+            assert abs(got - ref) <= eps, s
 
 
 def _brute_force_weights(mpx, order):

@@ -16,6 +16,7 @@ from tamezeta.tame import (
     LerchDescriptor,
     NotTameError,
     RationalDescriptor,
+    alpha_evaluator,
     build_multipower,
     build_shifted_multipower,
     coeffs,
@@ -35,6 +36,49 @@ def test_coeffs_examples():
     assert coeffs(ETA, 4) == [1, -1, 1, -1]
     cb = BuiltinDescriptor("central-binomial")
     assert coeffs(cb, 3) == [F(1, 2), F(1, 6), F(1, 20)]
+
+
+def _alpha_partial(desc, z, prec):
+    """alpha(z) for 0 < z < 1 by partial sums of the coefficient stream."""
+    with mp.workprec(prec):
+        floor = mpmath.mpf(2) ** -(prec + 8)
+        acc, zn, n, block = mpmath.mpc(0), mpmath.mpf(1), 0, 256
+        while True:
+            stream = coeffs(desc, n + block, prec=prec)
+            mx = mpmath.mpf(0)
+            for a in stream[n:]:
+                term = as_mpc(a, prec) * zn
+                acc += term
+                mx = max(mx, abs(term))
+                zn *= z
+            n += block
+            if mx / (1 - z) < floor:
+                return acc
+
+
+def test_alpha_evaluator_matches_partial_sums():
+    chi5_even = (1, -1, -1, 1, 0)  # alpha(1) = 0
+    descs = [
+        ETA,
+        RationalDescriptor((1, -1), (1, 1, 1)),  # alpha(1) = 0
+        RationalDescriptor((2, -1, 3), (2, 1, -1)),
+        catalog_descriptor("dirichletL", modulus=7),
+        CharacterDescriptor(5, chi5_even),
+        CharacterDescriptor(3, (1, -1, 0), power=2),
+        catalog_descriptor("lerch"),  # rational w: the rational form
+        LerchDescriptor(mpmath.mpc(0.3, -0.8)),  # inexact w: 1/(1 - w z)
+        BuiltinDescriptor("central-binomial"),
+    ]
+    prec = 160
+    for desc in descs:
+        alpha = alpha_evaluator(desc, prec)
+        for u in ("40", "8", "1", "0.05"):
+            with mp.workprec(prec):
+                z = mpmath.exp(-mpmath.mpf(u))
+                got, want = alpha(z), _alpha_partial(desc, z, prec)
+                assert abs(got - want) <= mpmath.mpf(2) ** (16 - prec) * max(1, abs(want)), (desc, u)
+    with pytest.raises(TypeError):
+        alpha_evaluator(BuiltinDescriptor("zeta-even"), prec)
 
 
 def test_coeffs_against_recurrence_families():
