@@ -10,7 +10,7 @@ convergent difference-operator series plus independent oracles
 continuation data (:mod:`tamezeta.reconstruct`).
 """
 from .scalar import ApproxContext, BigComplex, Rational, agree_within, binomial
-from .series import Poly, RationalFn, TruncSeries, compose, mul_div, recenter, series_pow_log_factor
+from .series import Poly, RationalFn, TruncSeries, compose, recenter, series_pow_log_factor
 from .tame import (
     BarnesDescriptor,
     BuiltinDescriptor,

@@ -19,7 +19,7 @@ from functools import lru_cache
 from math import factorial
 
 from .scalar import binomial
-from .series import Poly, TruncSeries, mul_div, recenter
+from .series import Poly, TruncSeries, recenter
 
 __all__ = [
     "stirling2",
@@ -68,8 +68,7 @@ def _expm1_over_u(order: int) -> TruncSeries:
 @lru_cache(maxsize=None)
 def _todd_base(order: int) -> TruncSeries:
     """u/(e^u - 1) to the given order, exact (ordinary coefficients)."""
-    one = TruncSeries([Fraction(1)], order)
-    return mul_div(one, _expm1_over_u(order), "divide")
+    return TruncSeries([Fraction(1)], order) / _expm1_over_u(order)
 
 
 def bernoulli_number(k: int) -> Fraction:

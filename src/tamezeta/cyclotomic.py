@@ -14,40 +14,9 @@ from functools import lru_cache
 import mpmath
 from mpmath import mp
 
+from .series import Poly, poly_divmod, poly_invmod
+
 __all__ = ["CycloNum", "cyclotomic_poly", "zeta_power"]
-
-
-def _poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, ai in enumerate(a):
-        if ai:
-            for j, bj in enumerate(b):
-                if bj:
-                    out[i + j] += ai * bj
-    return out
-
-
-def _poly_divmod(num, den):
-    # monic-friendly long division over Fraction
-    num = [Fraction(c) for c in num]
-    den = [Fraction(c) for c in den]
-    while den and den[-1] == 0:
-        den.pop()
-    q = [Fraction(0)] * max(1, len(num) - len(den) + 1)
-    r = num[:]
-    dlead = den[-1]
-    for i in range(len(num) - len(den), -1, -1):
-        if len(r) < len(den) + i:
-            continue
-        c = r[len(den) + i - 1] / dlead
-        if c == 0:
-            continue
-        q[i] = c
-        for j, dj in enumerate(den):
-            r[i + j] -= c * dj
-    while r and r[-1] == 0:
-        r.pop()
-    return q, r
 
 
 @lru_cache(maxsize=None)
@@ -55,13 +24,13 @@ def cyclotomic_poly(n: int) -> tuple:
     """Coefficients (ascending) of the n-th cyclotomic polynomial, exact."""
     if n < 1:
         raise ValueError("n must be positive")
-    num = [Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)]  # x^n - 1
+    num = Poly([Fraction(-1)] + [Fraction(0)] * (n - 1) + [Fraction(1)])  # x^n - 1
     for d in range(1, n):
         if n % d == 0:
-            num, rem = _poly_divmod(num, list(cyclotomic_poly(d)))
-            if rem:
+            num, rem = poly_divmod(num, Poly(cyclotomic_poly(d)))
+            if not rem.is_zero():
                 raise AssertionError("cyclotomic division not exact")
-    return tuple(num)
+    return tuple(Fraction(c) for c in num.coeffs)
 
 
 @lru_cache(maxsize=None)
@@ -156,7 +125,7 @@ class CycloNum:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return CycloNum(self.n, _poly_mul(list(self.vec), list(other.vec)))
+        return CycloNum(self.n, (Poly(self.vec) * Poly(other.vec)).coeffs)
 
     __rmul__ = __mul__
 
@@ -164,23 +133,8 @@ class CycloNum:
         """Field inverse via the extended Euclidean algorithm mod Phi_n."""
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero cyclotomic element")
-        phi = [Fraction(c) for c in cyclotomic_poly(self.n)]
-        r0, r1 = phi, [Fraction(c) for c in self.vec]
-        while r1 and r1[-1] == 0:
-            r1.pop()
-        # Bezout coefficient of self: r_i = (..)*Phi_n + a_i*self
-        a0, a1 = [Fraction(0)], [Fraction(1)]
-        while True:
-            q, r = _poly_divmod(r0, r1)
-            if not r:
-                break
-            a_next = [x - y for x, y in _zip_pad(a0, _poly_mul(q, a1))]
-            r0, r1 = r1, r
-            a0, a1 = a1, a_next
-        if len(r1) != 1:
-            raise ZeroDivisionError("element not invertible modulo Phi_n")
-        scale = 1 / r1[0]
-        return CycloNum(self.n, [c * scale for c in a1])
+        inv = poly_invmod(Poly(self.vec), Poly(cyclotomic_poly(self.n)))
+        return CycloNum(self.n, inv.coeffs)
 
     def __truediv__(self, other):
         other = self._coerce(other)
@@ -243,15 +197,6 @@ class CycloNum:
 
     def __repr__(self):
         return "CycloNum(n=%d, %s)" % (self.n, list(self.vec))
-
-
-def _zip_pad(a, b):
-    la, lb = len(a), len(b)
-    if la < lb:
-        a = a + [Fraction(0)] * (lb - la)
-    elif lb < la:
-        b = b + [Fraction(0)] * (la - lb)
-    return zip(a, b)
 
 
 def zeta_power(n: int, j: int) -> CycloNum:

@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
 from math import factorial, gcd
 
 import mpmath
@@ -34,8 +35,8 @@ from mpmath import mp
 
 from .bernoulli import bernoulli_number, diff_apply_poly
 from .cyclotomic import CycloNum, cyclotomic_poly
-from .scalar import ApproxContext, BigComplex, as_mpc, as_mpf, binomial
-from .series import Poly, RationalFn, poly_divmod, recenter
+from .scalar import ApproxContext, BigComplex, as_mpc, as_mpf, binomial, falling_factorial
+from .series import Poly, RationalFn, poly_divmod, poly_invmod, recenter
 from .tame import (
     DEFAULT_MARGIN,
     BuiltinDescriptor,
@@ -65,7 +66,7 @@ __all__ = [
     "hasse_eval",
     "continue_dirichlet",
     "incgamma_eval",
-    "shift_weights_exact",
+    "shift_weights",
 ]
 
 
@@ -234,12 +235,14 @@ def _em_coeff(k, work):
 def _hurwitz_em(sc, tc, eps, work, max_terms):
     """Euler-Maclaurin core; returns (value, head length, remainder bound).
 
-    Stops at the first order whose remainder bound is at most eps.  K caps
-    the order and sets the head length; a cap too low is doubled."""
+    The head sums n < N directly; the tail is the class tail of the
+    constant 1 with period 1, which stops at the first order whose
+    remainder bound is at most eps.  K caps the order and sets the head
+    length; a cap too low is doubled."""
     K = max(10, int(0.18 * work) + 2)
     bound = None
     for _ in range(6):
-        if 2 * K + 1 + sc.real <= 1:
+        if 2 * K + sc.real <= 1:
             K = int(mpmath.ceil((1 - sc.real) / 2)) + K
             continue
         a_target = max(K * mpmath.mpf("0.75"), 8 + abs(sc.imag) / 2, tc)
@@ -249,25 +252,9 @@ def _hurwitz_em(sc, tc, eps, work, max_terms):
         head = mpmath.mpc(0)
         for n in range(N):
             head += (tc + n) ** (-sc)
-        a = tc + N
-        a_s = a ** (-sc)
-        tail = a_s * (a / (sc - 1) + mpmath.mpf(1) / 2)
-        rising = sc  # (s)_(2k-1), rising factorial
-        apow = a_s / a  # a^(-s-2k+1)
-        coeff = _em_coeff(1, work)
-        for k in range(1, K + 1):
-            tail += coeff * rising * apow
-            rising = rising * (sc + 2 * k - 1) * (sc + 2 * k)
-            apow = apow / (a * a)
-            coeff = _em_coeff(k + 1, work)
-            if sc.real + 2 * k + 1 > 1:
-                # DLMF 2.10.1: the remainder after k orders is the integral of
-                # (B_2k+2 - B~_2k+2(x))/(2k+2)! f^(2k+2), and
-                # |B_2k+2 - B~_2k+2(x)| <= 2 |B_2k+2|
-                slack = abs(sc + 2 * k + 1) / (sc.real + 2 * k + 1)
-                bound = 2 * abs(coeff * rising * apow) * slack
-                if bound <= eps:
-                    return head + tail, N, bound
+        tail, bound = _em_class_tail(Poly([1]), sc, tc, 1, N, K, eps, work)
+        if bound <= eps:
+            return head + tail, N, bound
         K = 2 * K
     raise SlowConvergenceError("Euler-Maclaurin failed to reach tolerance", {"bound": bound})
 
@@ -324,7 +311,7 @@ def _partial_split(rf: RationalFn, orders: dict, rest: Poly):
         for _ in range(mult):
             cyclo = cyclo * phi
     # A = num * rest^{-1} mod cyclo so that (num - A*rest) is divisible by cyclo
-    inv_rest = _poly_invmod(rest, cyclo)
+    inv_rest = poly_invmod(rest, cyclo)
     A = poly_divmod(rf.num * inv_rest, cyclo)[1]
     B, rem = poly_divmod(rf.num - A * rest, cyclo)
     if not rem.is_zero():
@@ -334,35 +321,8 @@ def _partial_split(rf: RationalFn, orders: dict, rest: Poly):
     return cyclo_rf, rest_rf
 
 
-def _poly_invmod(a: Poly, modulus: Poly) -> Poly:
-    """Inverse of a modulo `modulus` over the rationals (they must be coprime)."""
-    r0, r1 = modulus, poly_divmod(a, modulus)[1]
-    s0, s1 = Poly(), Poly([Fraction(1)])
-    while not r1.is_zero():
-        q, r = poly_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, s0 - q * s1
-    if r0.degree != 0:
-        raise AssertionError("polynomials share a factor")
-    return s0.map(lambda c: c / r0.coeffs[0])
-
-
-_MODEL_CACHE: dict = {}
-
-
+@lru_cache(maxsize=64)
 def _coefficient_model(desc, prec: int) -> _CoeffModel:
-    key = (desc, prec)
-    hit = _MODEL_CACHE.get(key)
-    if hit is not None:
-        return hit
-    model = _coefficient_model_impl(desc, prec)
-    if len(_MODEL_CACHE) > 64:
-        _MODEL_CACHE.clear()
-    _MODEL_CACHE[key] = model
-    return model
-
-
-def _coefficient_model_impl(desc, prec: int) -> _CoeffModel:
     rf = as_rational_fn(desc)
     if rf is not None:
         from .tame import _cyclotomic_factor_split
@@ -545,13 +505,6 @@ def _em_class_tail(poly: Poly, sc, tc, m, n0, K, eps, work):
         return value, bound
 
 
-def _falling_abs(x, order):
-    acc = mpmath.mpf(1)
-    for j in range(order):
-        acc *= abs(x - j)
-    return acc
-
-
 def _quasi_value(model, n):
     poly = model.class_polys[n % model.period]
     if poly.is_zero():
@@ -606,7 +559,7 @@ def _oscillatory_tail(desc, sc, tc, N, eps, work):
             raise RegionError("w = 1 has a pole; not an oscillatory tail")
         K = 8
         while True:
-            lead = _falling_abs(-sc, K) * (2 / one_minus) ** K
+            lead = abs(falling_factorial(-sc, K)) * (2 / one_minus) ** K
             bound = lead * (tc + N) ** (-sc.real - K + 1) / (sc.real + K - 1)
             if bound < eps or K > 64:
                 break
@@ -703,98 +656,47 @@ def oracle_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def shift_weights_exact(mpx: MultiPowerExpansion, order: int) -> dict:
-    """Exact shift weights: the truncated operator series
+def shift_weights(mpx: MultiPowerExpansion, order: int, prec: int | None = None) -> dict:
+    """Shift weights: the truncated operator series
     sum_{i, per-variable order <= order} c_i Delta_e^i reorganized as
-    sum_sigma W_sigma E^sigma with exact rational weights."""
-    total: dict = {}
-    for term in mpx.terms:
-        weights = {0: Fraction(1)}
-        for e, series in term.factors:
-            fac_w: dict = {}
-            M = min(order, series.order)
-            for m_ in range(M + 1):
-                b = series.coeffs[m_]
-                if b == 0:
-                    continue
-                for a_ in range(m_ + 1):
-                    w = b * ((-1) ** (m_ - a_) * binomial(m_, a_))
-                    key = e * a_
-                    fac_w[key] = fac_w.get(key, Fraction(0)) + w
-            new: dict = {}
-            for k1, w1 in weights.items():
-                for k2, w2 in fac_w.items():
-                    new[k1 + k2] = new.get(k1 + k2, Fraction(0)) + w1 * w2
-            weights = new
-        for k, w in weights.items():
-            total[k] = total.get(k, Fraction(0)) + term.coeff * w
+    sum_sigma W_sigma E^sigma.
+
+    Exact weights (Fraction or CycloNum) when ``prec`` is None; otherwise
+    mpc weights at ``prec`` bits, which is cancellation-safe when ``prec``
+    exceeds the target precision by ~order bits.  Zero weights are dropped."""
+    scalar = (lambda c: c) if prec is None else (lambda c: as_mpc(c, prec))
+    with mp.workprec(prec if prec is not None else mp.prec):
+        total: dict = {}
+        for term in mpx.terms:
+            weights = {0: 1}
+            for e, series in term.factors:
+                fac_w: dict = {}
+                for m_ in range(min(order, series.order) + 1):
+                    b = scalar(series.coeffs[m_])
+                    if b == 0:
+                        continue
+                    for a_ in range(m_ + 1):
+                        key = e * a_
+                        fac_w[key] = fac_w.get(key, 0) + b * ((-1) ** (m_ - a_) * binomial(m_, a_))
+                new: dict = {}
+                for k1, w1 in weights.items():
+                    for k2, w2 in fac_w.items():
+                        new[k1 + k2] = new.get(k1 + k2, 0) + w1 * w2
+                weights = new
+            c = scalar(term.coeff)
+            for k, w in weights.items():
+                total[k] = total.get(k, 0) + c * w
     out = {}
     for k, v in total.items():
-        if isinstance(v, CycloNum):
-            v = v.to_fraction() if v.is_rational() else v
+        if isinstance(v, CycloNum) and v.is_rational():
+            v = v.to_fraction()
         if v != 0:
             out[k] = v
     return out
 
 
-def _shift_weights_numeric(mpx: MultiPowerExpansion, order: int, work: int) -> dict:
-    """Shift weights as mpc values at ``work`` bits (cancellation-safe when
-    ``work`` exceeds the target precision by ~order bits)."""
-    with mp.workprec(work):
-        total: dict = {}
-        for term in mpx.terms:
-            weights = {0: mpmath.mpc(1)}
-            for e, series in term.factors:
-                fac_w: dict = {}
-                M = min(order, series.order)
-                for m_ in range(M + 1):
-                    b = _embed(series.coeffs[m_], work)
-                    if b == 0:
-                        continue
-                    for a_ in range(m_ + 1):
-                        w = b * ((-1) ** (m_ - a_) * binomial(m_, a_))
-                        key = e * a_
-                        if key in fac_w:
-                            fac_w[key] += w
-                        else:
-                            fac_w[key] = w
-                new: dict = {}
-                for k1, w1 in weights.items():
-                    for k2, w2 in fac_w.items():
-                        k = k1 + k2
-                        if k in new:
-                            new[k] += w1 * w2
-                        else:
-                            new[k] = w1 * w2
-                weights = new
-            c = _embed(term.coeff, work)
-            for k, w in weights.items():
-                if k in total:
-                    total[k] += c * w
-                else:
-                    total[k] = c * w
-        return total
-
-
-def _embed(c, work):
-    if isinstance(c, CycloNum):
-        return c.embed(work)
-    return as_mpc(c, work)
-
-
-_WEIGHT_CACHE: dict = {}
-
-
-def _cached_weights(mpx, order, work):
-    key = (id(mpx), order, work)
-    hit = _WEIGHT_CACHE.get(key)
-    if hit is not None and hit[0] is mpx:
-        return hit[1]
-    w = _shift_weights_numeric(mpx, order, work)
-    if len(_WEIGHT_CACHE) > 64:
-        _WEIGHT_CACHE.clear()
-    _WEIGHT_CACHE[key] = (mpx, w)
-    return w
+# keyed by expansion identity, truncation order and precision
+_cached_weights = lru_cache(maxsize=64)(shift_weights)
 
 
 def _as_exact_int(s):
@@ -875,21 +777,11 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     )
 
 
-_MP_CACHE: dict = {}
-
-
+@lru_cache(maxsize=32)
 def _shifted_mp(desc, shift, order, prec):
-    key = (desc, shift, order, prec)
-    hit = _MP_CACHE.get(key)
-    if hit is not None:
-        return hit
     plan = plan_exponents(desc, DEFAULT_MARGIN, prec=prec)
     with mp.workprec(prec):
-        mpx = build_shifted_multipower(desc, shift, plan=plan, order=order, prec=prec)
-    if len(_MP_CACHE) > 32:
-        _MP_CACHE.clear()
-    _MP_CACHE[key] = mpx
-    return mpx
+        return build_shifted_multipower(desc, shift, plan=plan, order=order, prec=prec)
 
 
 def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
@@ -1015,7 +907,7 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext, epsilon=None) -> EvalResult:
         eps_n = mpmath.mpf(1)
         max_scaled = mpmath.mpf(0)
         for n in range(nh + 1):
-            psi_n = _embed(td.taus[n], work) * ((-1) ** n) / as_mpf(factorial(n), work)
+            psi_n = as_mpc(td.taus[n], work) * ((-1) ** n) / as_mpf(factorial(n), work)
             term = psi_n * eps_n * rising * gstar[n]
             head += term
             if n > nh // 2:
@@ -1061,7 +953,7 @@ def _exp_radius(desc, work):
     with mp.workprec(work):
         best = mpmath.inf
         for s_ in singularities(desc, work):
-            q = as_mpc(_embed(s_.value, work), work)
+            q = as_mpc(s_.value, work)
             base = -mpmath.log(q)
             for k in (-1, 0, 1):
                 best = min(best, abs(base + 2j * mpmath.pi * k))

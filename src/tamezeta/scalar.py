@@ -14,6 +14,8 @@ from math import comb
 import mpmath
 from mpmath import mp
 
+from .cyclotomic import CycloNum
+
 Rational = Fraction
 
 __all__ = [
@@ -100,8 +102,11 @@ def as_mpf(x, prec: int | None = None) -> mpmath.mpf:
 
 
 def as_mpc(x, prec: int | None = None) -> mpmath.mpc:
-    """Convert an exact, floating, or complex scalar to ``mpc`` at ``prec`` bits."""
+    """Convert an exact, floating, or complex scalar to ``mpc`` at ``prec`` bits;
+    a :class:`CycloNum` is embedded with zeta_n = exp(2*pi*i/n)."""
     with mp.workprec(prec if prec is not None else mp.prec):
+        if isinstance(x, CycloNum):
+            return x.embed(mp.prec)
         if isinstance(x, Fraction):
             return mpmath.mpc(mpmath.mpf(x.numerator) / x.denominator)
         if isinstance(x, BigComplex):

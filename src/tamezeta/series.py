@@ -9,19 +9,20 @@ coefficients beyond the common truncation order.
 from __future__ import annotations
 
 from fractions import Fraction
-
-from .scalar import binomial
+from math import comb
 
 __all__ = [
     "Poly",
     "TruncSeries",
     "RationalFn",
-    "mul_div",
     "compose",
     "recenter",
     "series_pow_log_factor",
     "geometric_series",
     "log_factor_base",
+    "poly_divmod",
+    "poly_gcd",
+    "poly_invmod",
 ]
 
 
@@ -87,9 +88,10 @@ class Poly:
             if not self.coeffs or not other.coeffs:
                 return Poly()
             out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+            nonzero = [(j, b) for j, b in enumerate(other.coeffs) if b != 0]
             for i, a in enumerate(self.coeffs):
                 if a != 0:
-                    for j, b in enumerate(other.coeffs):
+                    for j, b in nonzero:
                         out[i + j] = out[i + j] + a * b
             return Poly(out)
         return Poly([c * other for c in self.coeffs])
@@ -134,7 +136,7 @@ def recenter(p: Poly, t0) -> Poly:
         for j in range(k, n + 1):
             c = p.coeffs[j]
             if c != 0:
-                acc = acc + binomial(j, k) * c * pow_t0[j - k]
+                acc = acc + comb(j, k) * c * pow_t0[j - k]
         out.append(acc)
     return Poly(out)
 
@@ -275,15 +277,6 @@ class TruncSeries:
         return "TruncSeries(%s, order=%d, center=%d)" % (list(self.coeffs), self.order, self.center)
 
 
-def mul_div(a: TruncSeries, b: TruncSeries, mode: str) -> TruncSeries:
-    """Cauchy product or division to the common truncation order."""
-    if mode == "multiply":
-        return a * b
-    if mode == "divide":
-        return a / b
-    raise ValueError("mode must be 'multiply' or 'divide'")
-
-
 def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     """Taylor coefficients of outer(inner(x)) to the common order.
 
@@ -406,3 +399,17 @@ def poly_gcd(a: Poly, b: Poly) -> Poly:
         return Poly([1])
     lead = x.leading
     return x.map(lambda c: c / lead)
+
+
+def poly_invmod(a: Poly, modulus: Poly) -> Poly:
+    """Inverse of a modulo ``modulus`` over a field (extended Euclid);
+    ZeroDivisionError when they share a factor."""
+    r0, r1 = modulus, poly_divmod(a, modulus)[1]
+    s0, s1 = Poly(), Poly([1])
+    while not r1.is_zero():
+        q, r = poly_divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, s0 - q * s1
+    if r0.degree != 0:
+        raise ZeroDivisionError("polynomials share a factor")
+    return s0.map(lambda c: c / r0.coeffs[0])

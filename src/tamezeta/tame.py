@@ -817,8 +817,11 @@ class MPTerm:
     factors: tuple  # tuple of (e, TruncSeries with center=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MultiPowerExpansion:
+    """Product-form expansion; compared and hashed by identity, since the
+    numeric caches key on it and its series terms are unhashable."""
+
     nu: int
     evec: tuple
     terms: tuple
@@ -1155,18 +1158,12 @@ def evaluate_multipower(mpx: MultiPowerExpansion, z, prec: int) -> mpmath.mpc:
         zc = as_mpc(z, prec)
         acc = mpmath.mpc(0)
         for term in mpx.terms:
-            val = _embed_scalar(term.coeff, prec)
+            val = as_mpc(term.coeff, prec)
             for e, series in term.factors:
                 x = zc**e - 1
                 sval = mpmath.mpc(0)
                 for c in reversed(series.coeffs):
-                    sval = sval * x + _embed_scalar(c, prec)
+                    sval = sval * x + as_mpc(c, prec)
                 val = val * sval
             acc += val
         return acc
-
-
-def _embed_scalar(c, prec: int):
-    if isinstance(c, CycloNum):
-        return c.embed(prec)
-    return as_mpc(c, prec)

@@ -31,7 +31,7 @@ def test_root_of_unity_relations(n):
 
 def test_field_inverse_and_division():
     rng = random.Random(3)
-    for n in (3, 7, 12):
+    for n in (1, 2, 3, 4, 5, 7, 8, 12):
         for _ in range(10):
             coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 4)) for _ in range(n)]
             x = CycloNum(n, coeffs)

@@ -23,10 +23,11 @@ from tamezeta.numeval import (
     lower_gamma_star,
     oracle_eval,
     recip_gamma,
-    shift_weights_exact,
+    shift_weights,
     _tanh_sinh,
 )
-from tamezeta.scalar import ApproxContext, agree_within, binomial
+from tamezeta import numeval
+from tamezeta.scalar import ApproxContext, agree_within, as_mpc, binomial
 from tamezeta.series import Poly, TruncSeries
 from tamezeta.tame import (
     LerchDescriptor,
@@ -431,6 +432,7 @@ def _brute_force_weights(mpx, order):
 
 def test_shift_accumulator_exactness():
     rng = random.Random(31)
+    expansions = []
     for _ in range(6):
         # random small product-form expansions over the rationals
         terms = []
@@ -441,13 +443,23 @@ def test_shift_accumulator_exactness():
                 factors.append((e, TruncSeries(coeffs, 6, center=1)))
             terms.append(MPTerm(F(rng.randint(1, 4), rng.randint(1, 3)), tuple(factors)))
         mpx = MultiPowerExpansion(0, (1,), tuple(terms), 6, F(1, 20), "exact")
-        assert shift_weights_exact(mpx, 6) == _brute_force_weights(mpx, 6)
+        assert shift_weights(mpx, 6) == _brute_force_weights(mpx, 6)
+        expansions.append(mpx)
+    with mp.workprec(200):
+        # an approx-kind expansion: Lerch at an inexact w = 1/2
+        expansions.append(build_multipower(LerchDescriptor(mpmath.mpf(1) / 2), order=6, prec=200))
+        for mpx in expansions:
+            numeric = shift_weights(mpx, 6, 200)
+            ref = _brute_force_weights(mpx, 6)
+            assert ref
+            for k in set(numeric) | set(ref):
+                assert agree_within(numeric.get(k, 0), as_mpc(ref.get(k, 0), 200), 1e-50), k
 
 
 def test_diff_apply_agrees_with_exact_weights():
     # the two exact formulations of the truncated operator action coincide
     mpx = build_multipower(ETA, order=8)
-    weights = shift_weights_exact(mpx, 8)
+    weights = shift_weights(mpx, 8)
     p = Poly([F(0), F(0), F(1)])  # t^2
     by_weights = sum(w * F((1 + k)) ** 2 for k, w in weights.items())  # at t=1
     hmm = diff_apply_poly(mpx, p)(F(1))
@@ -462,7 +474,7 @@ def test_diff_apply_agrees_with_exact_weights():
         tuple(MPTerm(t.coeff, tuple((e, s.truncate(2)) for e, s in t.factors)) for t in mpx.terms),
         2, mpx.delta, mpx.kind,
     )
-    w2 = shift_weights_exact(trunc, 2)
+    w2 = shift_weights(trunc, 2)
     assert sum(w * (F(1) + k) ** 2 for k, w in w2.items()) == diff_apply_poly(trunc, p)(F(1))
     assert hmm == diff_apply_poly(mpx, p)(F(1))
 
@@ -471,3 +483,25 @@ def test_eval_result_precision():
     r = continue_dirichlet(GEO, F(5, 2), 1, CTX)
     assert isinstance(r, EvalResult)
     assert r.value.prec == CTX.precision_bits
+
+
+def test_continue_dirichlet_does_not_depend_on_cache_state():
+    s = mpmath.mpc(-1.5, 2.25)
+    first = continue_dirichlet(BARNES, s, F(1, 2), CTX)
+    for cache in (numeval._coefficient_model, numeval._cached_weights, numeval._shifted_mp):
+        cache.cache_clear()
+    again = continue_dirichlet(BARNES, s, F(1, 2), CTX)
+    assert (again.value.real, again.value.imag) == (first.value.real, first.value.imag)
+    assert again.tail_bound == first.tail_bound
+
+
+def test_hasse_eval_equal_expansions_give_identical_values():
+    # caches key on the expansion's identity; equal expansions built apart
+    # must still give the same bits
+    a = build_shifted_multipower(ETA, 12, order=128, prec=256)
+    b = build_shifted_multipower(ETA, 12, order=128, prec=256)
+    assert a is not b
+    s = mpmath.mpc(-2.5, 1.5)
+    ra, rb = hasse_eval(a, s, 13, CTX), hasse_eval(b, s, 13, CTX)
+    assert (ra.value.real, ra.value.imag) == (rb.value.real, rb.value.imag)
+    assert ra.truncation == rb.truncation

@@ -203,14 +203,14 @@ def test_l7_exact_shift_weights_are_real_and_match_numeric():
     # so full rationality is not expected); they must embed onto the
     # numeric accumulator
     from tamezeta.cyclotomic import CycloNum
-    from tamezeta.numeval import _shift_weights_numeric, shift_weights_exact
+    from tamezeta.numeval import shift_weights
     from tamezeta.tame import build_multipower
 
     desc = catalog_descriptor("dirichletL", modulus=7)
     mpx = build_multipower(desc, order=5)
-    weights = shift_weights_exact(mpx, 5)
+    weights = shift_weights(mpx, 5)
     assert weights, "expected nonempty weights"
-    numeric = _shift_weights_numeric(mpx, 5, 200)
+    numeric = shift_weights(mpx, 5, 200)
     with mp.workprec(200):
         for sigma, w in weights.items():
             if isinstance(w, CycloNum):

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 from math import factorial
 
@@ -10,9 +11,9 @@ from tamezeta.series import (
     RationalFn,
     TruncSeries,
     compose,
-    mul_div,
     poly_divmod,
     poly_gcd,
+    poly_invmod,
     recenter,
     series_pow_log_factor,
 )
@@ -28,15 +29,15 @@ def ts(coeffs, order):
 
 def test_mul_examples():
     a, b = ts([1, 1], 8), ts([1, -1], 8)
-    assert mul_div(a, b, "multiply").coeffs[:3] == (F(1), F(0), F(-1))
-    geo = mul_div(ts([1], 8), ts([1, -1], 8), "divide")
+    assert (a * b).coeffs[:3] == (F(1), F(0), F(-1))
+    geo = ts([1], 8) / ts([1, -1], 8)
     assert geo.coeffs == tuple(F(1) for _ in range(9))
 
 
 def test_todd_base_by_exact_division():
     M = 10
     em1_over_u = TruncSeries([F(1, factorial(n + 1)) for n in range(M + 1)], M)
-    todd = mul_div(TruncSeries([F(1)], M), em1_over_u, "divide")
+    todd = TruncSeries([F(1)], M) / em1_over_u
     assert todd.coeffs[0] == 1
     assert todd.coeffs[1] == F(-1, 2)
     assert todd.coeffs[2] == F(1, 12)
@@ -45,7 +46,7 @@ def test_todd_base_by_exact_division():
 
 def test_divide_by_zero_constant_rejected():
     with pytest.raises(ZeroDivisionError):
-        mul_div(ts([1], 4), ts([0, 1], 4), "divide")
+        ts([1], 4) / ts([0, 1], 4)
 
 
 def test_compose_inverse_functions():
@@ -143,6 +144,24 @@ def test_poly_divmod_and_gcd():
     b = Poly([F(1), F(-1)]) * Poly([F(3), F(0), F(1)])
     g = poly_gcd(a, b)
     assert g.coeffs == (F(-1), F(1))
+
+
+def test_poly_invmod_inverts_modulo():
+    rng = random.Random(11)
+    checked = 0
+    for _ in range(40):
+        a = Poly([F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(rng.randint(1, 6))])
+        m = Poly([F(rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(4)] + [F(1)])
+        if a.is_zero() or poly_gcd(a, m).degree > 0:
+            continue
+        inv = poly_invmod(a, m)
+        assert inv.degree < m.degree
+        assert poly_divmod(a * inv, m)[1] == Poly([F(1)])
+        checked += 1
+    assert checked >= 20
+    common = Poly([F(1), F(-1)])
+    with pytest.raises(ZeroDivisionError):
+        poly_invmod(common * Poly([F(2), F(1)]), common * Poly([F(3), F(0), F(1)]))
 
 
 def test_rationalfn_normalization():
