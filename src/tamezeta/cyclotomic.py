@@ -42,7 +42,7 @@ def _top_row(n: int) -> tuple:
 
 def _reduce(n: int, coeffs) -> tuple:
     d = len(cyclotomic_poly(n)) - 1
-    work = [Fraction(c) for c in coeffs]
+    work = [c if type(c) is Fraction else Fraction(c) for c in coeffs]
     if len(work) < d:
         work += [Fraction(0)] * (d - len(work))
     row = _top_row(n)
@@ -122,6 +122,9 @@ class CycloNum:
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            # a rational scalar scales the coordinates; nothing to reduce
+            return CycloNum(self.n, [a * other for a in self.vec])
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented

@@ -33,7 +33,7 @@ from math import factorial, gcd
 import mpmath
 from mpmath import mp
 
-from .bernoulli import bernoulli_number, diff_apply_poly
+from .bernoulli import bernoulli_number
 from .cyclotomic import CycloNum, cyclotomic_poly
 from .scalar import ApproxContext, BigComplex, as_mpc, as_mpf, binomial, falling_factorial
 from .series import Poly, RationalFn, poly_divmod, poly_invmod, recenter
@@ -720,9 +720,12 @@ def _as_exact_int(s):
 def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult:
     """The difference-operator series H(s,t) = sum_i c_i Delta_e^i t^(-s).
 
-    For s a nonpositive integer the operator series terminates identically
-    on the polynomial t^(-s) and is evaluated exactly (rational data in,
-    rational value out).  Otherwise the operator polynomials are converted
+    For s = -n a nonpositive integer the operator series terminates
+    identically on the polynomial t^n, so its shift form is exact there:
+    H(-n, t) = sum_sigma W_sigma (t+sigma)^n over the shift weights at order
+    min(mpx.order, max(n, 16)), summed in ascending sigma.  Exact data and a
+    rational t give an exact Fraction; otherwise the weights and the sum are
+    mpc at n + 64 guard bits.  Otherwise the operator polynomials are converted
     per variable into a shift accumulator with binomial weights, summed
     over shifts in ascending order at elevated precision, and the
     truncation order is doubled until two successive estimates agree
@@ -733,13 +736,26 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     exact_s = _as_exact_int(s)
     if exact_s is not None and exact_s <= 0:
         n = -exact_s
-        poly = Poly([Fraction(0)] * n + [Fraction(1)])
+        # exact on t^n once the order reaches n; at least 16 so that one
+        # table serves every small n, at most mpx.order so that a deep
+        # expansion never builds its full-order table for a small n
+        order = min(mpx.order, max(n, 16))
         if mpx.kind == "exact" and isinstance(t, (int, Fraction)):
-            val = diff_apply_poly(mpx, poly)(Fraction(t))
+            t = Fraction(t)
+            weights = _cached_weights(mpx, order, None)
+            val = Fraction(0)
+            for sigma in sorted(weights):
+                val += weights[sigma] * (t + sigma) ** n
+            if isinstance(val, CycloNum):
+                val = val.to_fraction()
             return _result(val, "hasse-exact", n, Fraction(0), ctx, exact=val)
         work = ctx.working_bits(n + 64)
+        weights = _cached_weights(mpx, order, work)
         with mp.workprec(work):
-            val = diff_apply_poly(mpx, poly.map(lambda c: as_mpc(c, work)))(as_mpc(t, work))
+            tc = as_mpc(t, work)
+            val = mpmath.mpc(0)
+            for sigma in sorted(weights):
+                val += weights[sigma] * (tc + sigma) ** n
         return _result(val, "hasse-exact", n, mpmath.mpf(2) ** (-ctx.precision_bits), ctx)
     eps_b = _eps_bits(ctx)
     eps = mpmath.mpf(ctx.target_eps)

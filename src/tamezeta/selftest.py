@@ -87,8 +87,12 @@ def criterion_1(prec_bits: int) -> CriterionResult:
 
 
 def criterion_2(prec_bits: int) -> CriterionResult:
-    """Difference operator equals Todd operator on t^n, n <= 12, exactly."""
+    """Difference operator equals Todd operator on t^n, n <= 12, exactly, and
+    so does the shift form sum_sigma W_sigma (t+sigma)^n that hasse_eval
+    sums at s = -n."""
     t_start = time.time()
+    ctx = _ctx(prec_bits)
+    half = Fraction(1, 2)
     members = [
         catalog_descriptor("hurwitz"),
         catalog_descriptor("eta"),
@@ -104,7 +108,9 @@ def criterion_2(prec_bits: int) -> CriterionResult:
         mpx = tame.build_multipower(desc, order=14)
         for n in range(13):
             p = Poly([Fraction(0)] * n + [Fraction(1)])
-            if bern.todd_apply(td, p) != bern.diff_apply_poly(mpx, p):
+            todd = bern.todd_apply(td, p)
+            shift_form = numeval.hasse_eval(mpx, -n, half, ctx).exact_value
+            if todd != bern.diff_apply_poly(mpx, p) or shift_form != todd(half):
                 ok = False
                 detail = "mismatch %r n=%d" % (desc, n)
                 break

@@ -39,6 +39,9 @@ def test_field_inverse_and_division():
                 continue
             assert (x * x.inverse()) == 1
             assert ((x / x) == 1)
+            # rational scalars act on the coordinates
+            assert x * Fraction(-3, 5) == x * CycloNum.from_rational(n, Fraction(-3, 5))
+            assert 2 * x == x + x
 
 
 def test_embedding_matches_exponential():

@@ -9,6 +9,7 @@ from mpmath import mp
 
 from tamezeta.bernoulli import bernoulli_poly, diff_apply_poly, todd_series
 from tamezeta.catalog import catalog_descriptor, default_members
+from tamezeta.cyclotomic import CycloNum
 from tamezeta.numeval import (
     EvalResult,
     NearPoleError,
@@ -30,6 +31,9 @@ from tamezeta import numeval
 from tamezeta.scalar import ApproxContext, agree_within, as_mpc, binomial
 from tamezeta.series import Poly, TruncSeries
 from tamezeta.tame import (
+    BarnesDescriptor,
+    CharacterDescriptor,
+    EhrhartDescriptor,
     LerchDescriptor,
     MPTerm,
     MultiPowerExpansion,
@@ -208,7 +212,7 @@ def test_oracle_eval_examples():
 
 def test_hasse_exact_integer_anchors():
     # operator series terminates identically on polynomials
-    for desc in (GEO, ETA, BARNES):
+    for desc in (GEO, ETA, BARNES, catalog_descriptor("dirichletL", modulus=7)):
         mpx = build_multipower(desc, order=14)
         laur = laurent_at_one(desc, 14)
         td = todd_series(laur, 13)
@@ -456,27 +460,91 @@ def test_shift_accumulator_exactness():
                 assert agree_within(numeric.get(k, 0), as_mpc(ref.get(k, 0), 200), 1e-50), k
 
 
+def _by_weights(weights, p, t):
+    """sum_sigma W_sigma p(t + sigma), reduced to a Fraction."""
+    val = F(0)
+    for sigma in sorted(weights):
+        val += weights[sigma] * p(t + sigma)
+    return val if isinstance(val, F) else val.to_fraction()
+
+
 def test_diff_apply_agrees_with_exact_weights():
-    # the two exact formulations of the truncated operator action coincide
-    mpx = build_multipower(ETA, order=8)
-    weights = shift_weights(mpx, 8)
-    p = Poly([F(0), F(0), F(1)])  # t^2
-    by_weights = sum(w * F((1 + k)) ** 2 for k, w in weights.items())  # at t=1
-    hmm = diff_apply_poly(mpx, p)(F(1))
-    # weights beyond operator order 2 cancel on polynomials only in the
-    # full series; on the truncation both routes see the same finite data
-    assert by_weights == sum(
-        w * (F(1) + k) ** 2 for k, w in weights.items()
+    # the difference form sum_i c_i Delta_e^i and the shift form
+    # sum_sigma W_sigma E^sigma of the truncated operator agree exactly on
+    # polynomials of degree <= the truncation order
+    chi7 = catalog_descriptor("dirichletL", modulus=7)
+    for desc in (ETA, BARNES, chi7):
+        mpx = build_multipower(desc, order=8)
+        assert mpx.kind == "exact"
+        if desc is chi7:
+            assert any(isinstance(w, CycloNum) for w in shift_weights(mpx, 8).values())
+        for deg in (0, 1, 3, 8):
+            p = Poly([F((-1) ** j * (j + 2), j + 1) for j in range(deg + 1)])
+            for t in (F(1), F(7, 3)):
+                ref = diff_apply_poly(mpx, p)(t)
+                assert isinstance(ref, F)
+                for M in (deg, mpx.order):
+                    assert _by_weights(shift_weights(mpx, M), p, t) == ref, (desc, deg, M, t)
+
+
+def test_continue_dirichlet_integer_s_at_float_t():
+    # characters carry cyclotomic operator data; an inexact t sends the
+    # integer-s branch through mpc weights, which must agree with the
+    # exact-t value
+    for modulus in (4, 7):
+        desc = catalog_descriptor("dirichletL", modulus=modulus)
+        for k in (0, 3, 7):
+            approx = continue_dirichlet(desc, -k, mpmath.mpf(0.5), CTX)
+            exact = continue_dirichlet(desc, -k, F(1, 2), CTX)
+            with mp.workprec(400):
+                v = exact.mpc()
+                tol = approx.tail_bound + mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(v))
+                assert abs(approx.mpc() - v) <= tol, (modulus, k)
+
+
+def test_hasse_integer_s_mpc_branch_matches_exact():
+    # the exact-family kinds at an inexact t (400-bit mpf) against the
+    # exact Fraction value at the same rational t
+    descs = (
+        BarnesDescriptor((1, 2)),
+        EhrhartDescriptor((F(1),), 3, 1),
+        catalog_descriptor("dirichletL", modulus=4),
+        catalog_descriptor("dirichletL", modulus=7),
+        CharacterDescriptor(3, (1, -1, 0), 2),
+        RationalDescriptor((1, 1), (1, 1, 1)),
     )
-    # exact finite action comparison at matching truncation
-    trunc = MultiPowerExpansion(
-        mpx.nu, mpx.evec,
-        tuple(MPTerm(t.coeff, tuple((e, s.truncate(2)) for e, s in t.factors)) for t in mpx.terms),
-        2, mpx.delta, mpx.kind,
-    )
-    w2 = shift_weights(trunc, 2)
-    assert sum(w * (F(1) + k) ** 2 for k, w in w2.items()) == diff_apply_poly(trunc, p)(F(1))
-    assert hmm == diff_apply_poly(mpx, p)(F(1))
+    for desc in descs:
+        nu = laurent_at_one(desc, 2).nu
+        mpx = build_multipower(desc, order=nu + 12)
+        for t in (F(1, 2), F(7, 3), F(41, 2)):
+            with mp.workprec(400):
+                t_mpf = mpmath.mpf(t.numerator) / t.denominator
+            for n in range(nu, nu + 13):
+                exact = hasse_eval(mpx, -n, t, CTX).exact_value
+                r = hasse_eval(mpx, -n, t_mpf, CTX)
+                assert r.exact_value is None
+                with mp.workprec(400):
+                    v = mpmath.mpf(exact.numerator) / exact.denominator
+                    assert abs(r.mpc() - v) <= r.tail_bound * max(1, abs(v)), (desc, t, n)
+
+
+def test_integer_s_continuation_never_builds_full_order_weights(monkeypatch):
+    # continue_dirichlet's shifted expansions have order 256; a weight table
+    # at that order for a small n would cost seconds
+    requested = []
+    original = numeval._cached_weights
+
+    def recording(mpx, order, prec):
+        requested.append((mpx.order, order))
+        return original(mpx, order, prec)
+
+    monkeypatch.setattr(numeval, "_cached_weights", recording)
+    for desc in (BARNES, catalog_descriptor("dirichletL", modulus=7)):
+        for k in (0, 3):
+            for t in (F(1, 2), mpmath.mpf(0.5)):
+                continue_dirichlet(desc, -k, t, CTX)
+    assert requested
+    assert all(mpx_order == 256 and order < mpx_order for mpx_order, order in requested)
 
 
 def test_eval_result_precision():
