@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+import math
 from math import factorial, gcd
 
 import mpmath
@@ -227,34 +228,105 @@ def hurwitz_oracle(s, t, ctx: ApproxContext) -> EvalResult:
         return _result(value, "hurwitz-em", used, bound, ctx)
 
 
+@lru_cache(maxsize=256)
 def _em_coeff(k, work):
     """B_2k / (2k)!"""
-    return as_mpf(bernoulli_number(2 * k), work) / as_mpf(factorial(2 * k), work)
+    with mp.workprec(work):
+        return as_mpf(bernoulli_number(2 * k), work) / as_mpf(factorial(2 * k), work)
+
+
+# One Euler-Maclaurin order of a class tail, its bound check included, costs
+# about this many complex powers (pure-Python mpmath near 244 bits)
+_EM_ORDER_COST = 3
+
+
+def _least_head(log_c, e, log_eps, tf, max_terms):
+    """Least N >= 0 with exp(log_c) (tf+N)^(-e) <= exp(log_eps), for e > 0;
+    None when it passes max_terms."""
+    log_a = (log_c - log_eps) / e
+    if log_a > math.log(tf + max_terms):
+        return None
+    return max(0, math.ceil(math.exp(log_a) - tf))
+
+
+def _em_plan(classes, sc, tc, m, eps, K, max_terms):
+    """Head length N and, per class, the order at which its tail starts
+    checking its bound.
+
+    ``classes`` lists, per class, the |d_i| of its polynomial in powers of
+    (tc+x).  At order k the remainder bound of :func:`_em_class_tail`,
+    4/(2 pi)^(2k) m^(2k-1) sum_i |d_i| |(i-s)_(2k)| a^(i-Re s-2k+1)/(Re s+2k-i-1)
+    with a >= tc+N, is at most eps once each of its T terms is at most
+    eps/T, which gives the least N for the order in closed form.  An order
+    with a term that does not decay in a, or whose N passes max_terms, is
+    skipped.  The order k <= K with the least N + _EM_ORDER_COST k per class
+    sets N; each class starts at the least order that meets its eps at that
+    N.  Estimated in floats, through logarithms so that nothing overflows,
+    and only to choose where to start: the tail still certifies its bound.
+    None when no order is feasible."""
+    sr, si, tf = float(sc.real), float(sc.imag), float(tc)
+    log_eps = float(mpmath.log(eps))
+    need = []  # need[c][k-1]: least N for class c at order k, or None
+    for d in classes:
+        terms = [(i, math.log(x)) for i, x in enumerate(d) if x != 0]
+        logfall = [0.0] * len(terms)  # log |(i-s)_(2k)|, -inf when it is zero
+        row = []
+        for k in range(1, K + 1):
+            for j, (i, _) in enumerate(terms):
+                for f in (2 * k - 2, 2 * k - 1):
+                    r = abs(complex(i - sr - f, -si))
+                    logfall[j] += math.log(r) if r else -math.inf
+            log_k = math.log(4 * len(terms)) - 2 * k * math.log(2 * math.pi) + (2 * k - 1) * math.log(m)
+            n_k = 0
+            for (i, log_d), lf in zip(terms, logfall):
+                e = sr + 2 * k - i - 1
+                n_i = None
+                if e > 0:
+                    n_i = 0 if lf == -math.inf else _least_head(log_k + log_d + lf - math.log(e), e, log_eps, tf, max_terms)
+                if n_i is None:
+                    n_k = None
+                    break
+                n_k = max(n_k, n_i)
+            row.append(n_k)
+        need.append(row)
+    best = None
+    for k in range(1, K + 1):
+        col = [row[k - 1] for row in need]
+        if None in col:
+            continue
+        n = max(col, default=0)
+        cost = n + _EM_ORDER_COST * k * len(classes)
+        if best is None or cost < best[0]:
+            best = (cost, n)
+    if best is None:
+        return None
+    n = best[1]
+    return n, [next(k for k, n_k in enumerate(row, 1) if n_k is not None and n_k <= n) for row in need]
 
 
 def _hurwitz_em(sc, tc, eps, work, max_terms):
     """Euler-Maclaurin core; returns (value, head length, remainder bound).
 
     The head sums n < N directly; the tail is the class tail of the
-    constant 1 with period 1, which stops at the first order whose
-    remainder bound is at most eps.  K caps the order and sets the head
-    length; a cap too low is doubled."""
+    constant 1 with period 1.  :func:`_em_plan` chooses N and the order
+    from which the tail checks its bound: the cheapest head plus orders
+    whose estimated remainder is at most eps.  The tail then stops at the
+    first order whose certified bound is at most eps.  K caps the order; a
+    cap with no feasible order, or at which the bound is not met, is doubled
+    and the plan made again."""
     K = max(10, int(0.18 * work) + 2)
+    one = Poly([1])
     bound = None
     for _ in range(6):
-        if 2 * K + sc.real <= 1:
-            K = int(mpmath.ceil((1 - sc.real) / 2)) + K
-            continue
-        a_target = max(K * mpmath.mpf("0.75"), 8 + abs(sc.imag) / 2, tc)
-        N = max(0, int(mpmath.ceil(a_target - tc)) + 1)
-        if N > max_terms:
-            raise SlowConvergenceError("Euler-Maclaurin head exceeds max_terms")
-        head = mpmath.mpc(0)
-        for n in range(N):
-            head += (tc + n) ** (-sc)
-        tail, bound = _em_class_tail(Poly([1]), sc, tc, 1, N, K, eps, work)
-        if bound <= eps:
-            return head + tail, N, bound
+        plan = _em_plan([[1.0]], sc, tc, 1, eps, K, max_terms)
+        if plan is not None:
+            N, (k0,) = plan
+            head = mpmath.mpc(0)
+            for n in range(N):
+                head += (tc + n) ** (-sc)
+            tail, bound = _em_class_tail(one, sc, tc, 1, N, k0, K, eps, work)
+            if bound <= eps:
+                return head + tail, N, bound
         K = 2 * K
     raise SlowConvergenceError("Euler-Maclaurin failed to reach tolerance", {"bound": bound})
 
@@ -272,6 +344,9 @@ class _CoeffModel:
     class_polys: tuple
     rest_ratio: object  # certified bound < 1 for the rest part ratio, or None
     kind: str  # quasi | geometric | mixed | oscillatory
+    # rest_ratio bounds |r_j'| <= |r_j| rest_ratio^(j'-j) for every nonzero
+    # rest coefficient r_j and j' > j, not only the decay rate
+    ratio_per_term: bool = False
 
 
 def _lagrange_fit(xs, ys):
@@ -337,30 +412,34 @@ def _coefficient_model(desc, prec: int) -> _CoeffModel:
         if rest.degree > 0:
             rest_ratio = _rest_ratio_bound(rest, prec)
         if not orders:
-            return _CoeffModel(1, (Poly(),), rest_ratio, "geometric")
+            # c/(1 - wz) is c w^n: its ratio holds from term to term
+            per_term = rest.degree == 1 and rf.num.degree == 0
+            return _CoeffModel(1, (Poly(),), rest_ratio, "geometric", per_term)
         if rest.degree == 0:
             polys = _fit_quasi_polynomial(desc, period, degree_bound)
             return _CoeffModel(period, polys, None, "quasi")
-        cyclo_rf, _rest_rf = _partial_split(rf, orders, rest)
+        cyclo_rf, rest_rf = _partial_split(rf, orders, rest)
         from .tame import RationalDescriptor
 
         cd = RationalDescriptor(tuple(cyclo_rf.num.coeffs), tuple(cyclo_rf.den.coeffs))
         polys = _fit_quasi_polynomial(cd, period, degree_bound)
-        return _CoeffModel(period, polys, rest_ratio, "mixed")
+        per_term = rest.degree == 1 and rest_rf is not None and rest_rf.num.degree == 0
+        return _CoeffModel(period, polys, rest_ratio, "mixed", per_term)
     if isinstance(desc, LerchDescriptor):
         with mp.workprec(prec):
             wc = as_mpc(desc.w, prec)
             if abs(wc) < 1 - mpmath.mpf(2) ** (-prec // 2):
                 ratio = +(abs(wc) * (1 + mpmath.mpf(2) ** (-prec // 2)))
-                return _CoeffModel(1, (Poly(),), ratio, "geometric")
+                return _CoeffModel(1, (Poly(),), ratio, "geometric", True)
         return _CoeffModel(1, (Poly(),), None, "oscillatory")
     if isinstance(desc, BuiltinDescriptor):
         if desc.name == "central-binomial":
             # a_{n+2}/a_{n+1} = (n+2)/(2(2n+3)) <= 3/10 for n >= 0
-            return _CoeffModel(1, (Poly(),), Fraction(3, 10), "geometric")
+            return _CoeffModel(1, (Poly(),), Fraction(3, 10), "geometric", True)
         # even-zeta stream: 1 on the odd index class, plus (zeta(n+1)-1)
-        # which is bounded by 2^(-n) * 2 for n >= 1
-        return _CoeffModel(2, (Poly(), Poly([Fraction(1)])), Fraction(1, 2), "mixed")
+        # which is bounded by 2^(-n) * 2 for n >= 1; zero on the even class,
+        # and (zeta(n+3)-1)/(zeta(n+1)-1) <= 1/4, so 1/2 holds per index
+        return _CoeffModel(2, (Poly(), Poly([Fraction(1)])), Fraction(1, 2), "mixed", True)
     raise TypeError("unknown descriptor %r" % (desc,))
 
 
@@ -386,13 +465,18 @@ def _rest_ratio_bound(rest: Poly, prec: int):
 def direct_sum(desc, s, t, ctx: ApproxContext) -> EvalResult:
     """sum a_{n+1} (t+n)^(-s) in the absolute-convergence region Re(s) > nu + 1/4.
 
-    The head is summed exactly in ascending order; quasi-polynomial tail
-    classes are completed by Euler-Maclaurin with a rigorous remainder
+    The head n < N is summed exactly in ascending order; quasi-polynomial
+    tail classes are completed by Euler-Maclaurin with a rigorous remainder
     bound, exponentially small coefficient parts against their certified
     ratio, and unit-circle oscillatory parts by iterated summation by
-    parts.  Plain truncation with the |a_n| <= C n^(nu-1+eps) envelope
-    cannot reach tight tolerances near the abscissa; the recorded
-    tail_bound covers the completed tails instead.
+    parts.  N comes from the tails' own bounds: :func:`_em_plan` takes the
+    cheapest head plus Euler-Maclaurin orders whose estimated remainder
+    meets each class's eps/(2m), and :func:`_oscillatory_head` the cheapest
+    head plus summation-by-parts rounds; a series with neither has N = 0
+    and its geometric rest starts at the first term.  Plain truncation with
+    the |a_n| <= C n^(nu-1+eps) envelope cannot reach tight tolerances
+    near the abscissa; the recorded tail_bound covers the completed tails
+    instead.
     """
     eps_b = _eps_bits(ctx)
     work = ctx.working_bits(eps_b)
@@ -410,14 +494,26 @@ def direct_sum(desc, s, t, ctx: ApproxContext) -> EvalResult:
         eps = mpmath.mpf(ctx.target_eps)
         model = _coefficient_model(desc, work)
         m = model.period
+        classes = [
+            (r, recenter(poly.map(lambda c: as_mpc(c, work)), -tc))
+            for r, poly in enumerate(model.class_polys)
+            if not poly.is_zero()
+        ]
+        dabs = [[float(abs(d)) for d in shifted.coeffs] for _, shifted in classes]
         K = max(10, int(0.18 * work) + 2)
         last_exc = None
         for _attempt in range(3):
-            N = m * (int(2 * K + abs(sc.imag) / 2 + 32) // m + 1)
-            if N > ctx.max_terms:
-                raise SlowConvergenceError("head exceeds max_terms")
+            if model.kind == "oscillatory":
+                # planned at half the tail's eps/4, a margin for the float estimate
+                N = _oscillatory_head(sc, tc, as_mpc(desc.w, work), eps / 8, ctx.max_terms)
+                plan = None if N is None else (N, [])
+            else:
+                plan = _em_plan(dabs, sc, tc, m, eps / (2 * m), K, ctx.max_terms)
+            if plan is None:
+                K *= 2
+                continue
             try:
-                value, bound, used = _direct_attempt(desc, model, sc, tc, N, K, eps, work, ctx)
+                value, bound, used = _direct_attempt(desc, model, classes, sc, tc, plan, K, eps, work, ctx)
             except SlowConvergenceError as exc:
                 last_exc = exc
                 K *= 2
@@ -428,8 +524,9 @@ def direct_sum(desc, s, t, ctx: ApproxContext) -> EvalResult:
         raise SlowConvergenceError("direct summation did not reach tolerance", getattr(last_exc, "diagnostics", None))
 
 
-def _direct_attempt(desc, model, sc, tc, N, K, eps, work, ctx):
+def _direct_attempt(desc, model, classes, sc, tc, plan, K, eps, work, ctx):
     m = model.period
+    N, orders = plan
     stream = coeffs(desc, N + 1, prec=work)
     head = mpmath.mpc(0)
     for n in range(N):
@@ -439,12 +536,10 @@ def _direct_attempt(desc, model, sc, tc, N, K, eps, work, ctx):
     tail = mpmath.mpc(0)
     bound = mpmath.mpf(0)
     used = N
-    for r, poly in enumerate(model.class_polys):
-        if poly.is_zero():
-            continue
+    for (r, shifted), k0 in zip(classes, orders):
         n0 = N + ((r - N) % m)
         # m classes at eps/(2m) each leave eps/2 for the rest tails below
-        val, b = _em_class_tail(poly, sc, tc, m, n0, K, eps / (2 * m), work)
+        val, b = _em_class_tail(shifted, sc, tc, m, n0, k0, K, eps / (2 * m), work)
         tail += val
         bound += b
     if model.rest_ratio is not None:
@@ -462,17 +557,17 @@ def _direct_attempt(desc, model, sc, tc, N, K, eps, work, ctx):
     return head + tail, bound, used
 
 
-def _em_class_tail(poly: Poly, sc, tc, m, n0, K, eps, work):
-    """sum_{j>=0} poly(n0+jm) (tc+n0+jm)^(-sc), Euler-Maclaurin with bound.
+def _em_class_tail(shifted: Poly, sc, tc, m, n0, k0, K, eps, work):
+    """sum_{j>=0} p(n0+jm) (tc+n0+jm)^(-sc), Euler-Maclaurin with bound.
 
-    poly is re-expanded in powers of (tc+x), so h(y) = sum_i d_i y^(i-s)
-    has closed-form derivatives and integral.  Order k subtracts
+    ``shifted`` is p in powers of (tc+x), so h(y) = sum_i d_i y^(i-s) has
+    closed-form derivatives and integral.  Order k subtracts
     B_2k/(2k)! m^(2k-1) sum_i P_i with P_i = d_i (i-s)_(2k-1) a^(i-s-2k+1)
     (falling factorial); each P_i passes to the next order by one
-    multiplication, so a^(-s) is the only complex power.  Stops at the
-    first order whose remainder bound is at most eps, or at order K."""
+    multiplication, so a^(-s) is the only complex power.  From order k0 on
+    (see :func:`_em_plan`), stops at the first order whose remainder bound
+    is at most eps, or at order K."""
     with mp.workprec(work):
-        shifted = recenter(poly.map(lambda c: as_mpc(c, work)), -tc)
         a = tc + n0
         a_pow = a ** (-sc)  # a^(i-s) for i = 0, 1, ...
         value = mpmath.mpc(0)
@@ -493,7 +588,7 @@ def _em_class_tail(poly: Poly, sc, tc, m, n0, K, eps, work):
             mpow *= m2
             zfac /= two_pi2
             value -= _em_coeff(k, work) * mpow * sum(p for _, p in terms)
-            if all(sc.real + 2 * k - i - 1 > 0 for i, _ in terms):
+            if k >= k0 and all(sc.real + 2 * k - i - 1 > 0 for i, _ in terms):
                 # m^(2k-1) times the integral of |h^(2k)| over [a, oo)
                 int_bound = sum(abs(p) * abs(i - sc - 2 * k + 1) / (sc.real + 2 * k - i - 1) for i, p in terms)
                 bound = zfac * int_bound * mpow
@@ -513,12 +608,20 @@ def _quasi_value(model, n):
 
 
 def _geometric_rest_tail(desc, model, sc, tc, N, eps, work, max_terms):
-    """Tail of the exponentially small coefficient part, summed directly
-    against the certified ratio bound."""
+    """Tail of the exponentially small coefficient part from index N,
+    summed directly against the certified ratio bound.
+
+    When the ratio holds from term to term (``model.ratio_per_term``) the
+    sum stops at the first nonzero rest term r_j whose geometric remainder
+    |r_j| ratio/(1-ratio) (tc+j+1)^(-Re s) is under eps; a zero term bounds
+    nothing and never stops it.  Otherwise the ratio bounds only the decay
+    of the rest as a whole, so each block of 64 terms is bounded by its
+    largest term, which covers rests that oscillate."""
     with mp.workprec(work):
         ratio = as_mpf(model.rest_ratio, work)
         if not ratio < 1:
             raise SlowConvergenceError("rest ratio not below 1")
+        geo = ratio / (1 - ratio)
         acc = mpmath.mpc(0)
         n = N
         block = 64
@@ -530,11 +633,15 @@ def _geometric_rest_tail(desc, model, sc, tc, N, eps, work, max_terms):
                 rest = as_mpc(stream[j], work) - as_mpc(_quasi_value(model, j), work)
                 if rest != 0:
                     acc += rest * (tc + j) ** (-sc)
+                    if model.ratio_per_term:
+                        tail_bound = abs(rest) * geo * (tc + j + 1) ** (-sc.real)
+                        if tail_bound < eps:
+                            return acc, tail_bound, extra + j - n + 1
                 mx = max(mx, abs(rest))
             extra += block
             n += block
             # remaining rest coefficients are bounded by mx * ratio^(j-n+block)
-            tail_bound = mx * ratio / (1 - ratio) * (tc + n) ** (-sc.real)
+            tail_bound = mx * geo * (tc + n) ** (-sc.real)
             if mx == 0 or tail_bound < eps:
                 return acc, tail_bound, extra
             if extra > max_terms:
@@ -546,6 +653,32 @@ def _delta_pow_f(f, n, k):
     for j in range(k + 1):
         acc += (-1) ** (k - j) * binomial(k, j) * f(n + j)
     return acc
+
+
+def _oscillatory_head(sc, tc, w, eps, max_terms):
+    """Head length for :func:`_oscillatory_tail`.
+
+    For each of its orders K = 8, 16, ..., 64, the least N at which its
+    bound |(-s)_K| (2/|1-w|)^K (tc+N)^(1-Re s-K)/(Re s+K-1) is at most eps;
+    the order with the least N + K(K+1)/2 + 9(K+1) powers (its boundary
+    differences and its nine shortest rounds) sets N.  None when every
+    order passes max_terms."""
+    sr, tf = float(sc.real), float(tc)
+    log_eps = float(mpmath.log(eps))
+    log_w = math.log(2 / abs(complex(1 - w)))
+    log_fall = 0.0  # log |(-s)_K|
+    best = None
+    for K in range(1, 65):
+        log_fall += math.log(abs(complex(-sc) - (K - 1)))
+        if K % 8:
+            continue
+        e = sr + K - 1
+        n = _least_head(log_fall + K * log_w - math.log(e), e, log_eps, tf, max_terms)
+        if n is not None:
+            cost = n + K * (K + 1) // 2 + 9 * (K + 1)
+            if best is None or cost < best[0]:
+                best = (cost, n)
+    return None if best is None else best[1]
 
 
 def _oscillatory_tail(desc, sc, tc, N, eps, work):
@@ -725,7 +858,8 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     H(-n, t) = sum_sigma W_sigma (t+sigma)^n over the shift weights at order
     min(mpx.order, max(n, 16)), summed in ascending sigma.  Exact data and a
     rational t give an exact Fraction; otherwise the weights and the sum are
-    mpc at n + 64 guard bits.  Otherwise the operator polynomials are converted
+    mpc at max(order, n) + 64 guard bits, and the bound is the rounding to
+    ctx.precision_bits.  Otherwise the operator polynomials are converted
     per variable into a shift accumulator with binomial weights, summed
     over shifts in ascending order at elevated precision, and the
     truncation order is doubled until two successive estimates agree
@@ -749,14 +883,17 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
             if isinstance(val, CycloNum):
                 val = val.to_fraction()
             return _result(val, "hasse-exact", n, Fraction(0), ctx, exact=val)
-        work = ctx.working_bits(n + 64)
+        # guard bits for the order, not for n: one table for every n <= 16
+        work = ctx.working_bits(max(order, n) + 64)
         weights = _cached_weights(mpx, order, work)
         with mp.workprec(work):
             tc = as_mpc(t, work)
             val = mpmath.mpc(0)
             for sigma in sorted(weights):
                 val += weights[sigma] * (tc + sigma) ** n
-        return _result(val, "hasse-exact", n, mpmath.mpf(2) ** (-ctx.precision_bits), ctx)
+            # the rounding to ctx.precision_bits, relative to the value
+            bound = mpmath.mpf(2) ** (-ctx.precision_bits) * max(1, abs(val))
+        return _result(val, "hasse-exact", n, bound, ctx)
     eps_b = _eps_bits(ctx)
     eps = mpmath.mpf(ctx.target_eps)
     ladder = [M for M in (32, 64, 128, 256, 512) if M < mpx.order] + [mpx.order]
@@ -808,7 +945,10 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
     with an index shift m that turns the n^(-t) operator-term decay into
     n^(-t-m).  Fails with the residue attached when sigma is within
     sqrt(eps) of a genuine pole of D(., t); near a removable candidate the
-    evaluation proceeds at elevated precision and flags the result.
+    evaluation proceeds at elevated precision and flags the result.  At an
+    integer sigma <= nu the operator series terminates, and the shifted
+    expansion is built only to the order hasse_eval reads there,
+    max(nu - sigma, 16).
     """
     from .continuation import analyze
 
@@ -842,9 +982,15 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
                     extra_bits = max(extra_bits, int(-mpmath.log(dist, 2)) + 8)
         digits = int(mpmath.ceil(-mpmath.log10(eps)))
         shift = max(8, int(1.3 * digits) + 8 - int(mpmath.floor(tc)))
-        # far off the real axis the operator terms decay later; allow a
-        # deeper truncation ladder there
-        order = 256 if abs(sc.imag) <= 16 else 512
+        hs = sigma - nu if isinstance(sigma, (int, Fraction)) else sc - nu
+        hs_int = _as_exact_int(hs)
+        if hs_int is not None and hs_int <= 0:
+            # hasse_eval reads at most order max(-hs_int, 16) there
+            order = max(-hs_int, 16)
+        else:
+            # far off the real axis the operator terms decay later; allow a
+            # deeper truncation ladder there
+            order = 256 if abs(sc.imag) <= 16 else 512
         mpx = _shifted_mp(desc, shift, order, ctx.working_bits(eps_b + 64))
         head = mpmath.mpc(0)
         if shift:
@@ -859,13 +1005,9 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
             target_eps=max(sub_eps, 2.0 ** (-(ctx.precision_bits + extra_bits + 16))),
             max_terms=ctx.max_terms,
         )
-        hres = hasse_eval(
-            mpx,
-            sigma - nu if isinstance(sigma, (int, Fraction)) else sc - nu,
-            t + shift if isinstance(t, (int, Fraction)) else tc + shift,
-            sub,
-        )
-        hval = hres.mpc()
+        hres = hasse_eval(mpx, hs, t + shift if isinstance(t, (int, Fraction)) else tc + shift, sub)
+        # an exact operator value enters whole, not rounded to the sub-context's bits
+        hval = as_mpc(hres.exact_value, work) if hres.exact_value is not None else hres.mpc()
         tail_val = hval / rising if nu else hval
         value = head + tail_val
         bound = as_mpf(hres.tail_bound, work)

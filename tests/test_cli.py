@@ -121,7 +121,7 @@ def test_missing_descriptor_exit_two():
 
 def test_numeric_failure_exit_three():
     code, _ = _run(
-        ["--max-terms", "16", "eval", "--catalog", "hurwitz", "--s", "1.3", "--t0", "1", "--method", "direct"]
+        ["--max-terms", "2", "eval", "--catalog", "hurwitz", "--s", "1.3", "--t0", "1", "--method", "direct"]
     )
     assert code == EXIT_NUMERIC
 

@@ -9,6 +9,7 @@ from mpmath import mp
 
 from tamezeta.bernoulli import bernoulli_poly, diff_apply_poly, todd_series
 from tamezeta.catalog import catalog_descriptor, default_members
+from tamezeta.continuation import analyze
 from tamezeta.cyclotomic import CycloNum
 from tamezeta.numeval import (
     EvalResult,
@@ -529,8 +530,8 @@ def test_hasse_integer_s_mpc_branch_matches_exact():
 
 
 def test_integer_s_continuation_never_builds_full_order_weights(monkeypatch):
-    # continue_dirichlet's shifted expansions have order 256; a weight table
-    # at that order for a small n would cost seconds
+    # a weight table at the order-256 of a generic point's expansion would
+    # cost seconds for a small n
     requested = []
     original = numeval._cached_weights
 
@@ -544,7 +545,7 @@ def test_integer_s_continuation_never_builds_full_order_weights(monkeypatch):
             for t in (F(1, 2), mpmath.mpf(0.5)):
                 continue_dirichlet(desc, -k, t, CTX)
     assert requested
-    assert all(mpx_order == 256 and order < mpx_order for mpx_order, order in requested)
+    assert all(order <= mpx_order < 256 for mpx_order, order in requested)
 
 
 def test_eval_result_precision():
@@ -573,3 +574,192 @@ def test_hasse_eval_equal_expansions_give_identical_values():
     ra, rb = hasse_eval(a, s, 13, CTX), hasse_eval(b, s, 13, CTX)
     assert (ra.value.real, ra.value.imag) == (rb.value.real, rb.value.imag)
     assert ra.truncation == rb.truncation
+
+
+# a_{n+1} per residue class of n mod m, as coefficients in powers of n
+EM_CLASSES = {
+    "hurwitz": (1, {0: [1]}),
+    "eta": (2, {0: [1], 1: [-1]}),
+    "dirichletL-3": (3, {0: [1], 1: [-1]}),
+    "dirichletL-7": (7, {r: [c] for r, c in enumerate((1, 1, -1, 1, -1, -1, 0))}),
+    "barnes-1,1": (1, {0: [1, 1]}),
+    "ehrhart": (1, {0: [2, 1]}),
+}
+
+
+# a_{n+1} of the members with a geometric coefficient stream
+GEOMETRIC_COEFFS = {
+    "lerch-1/2": lambda n: F(1, 2**n),
+    "central-binomial": lambda n: F(1, comb(2 * n + 2, n + 1)),
+}
+
+
+def _geometric_sum(coeff, s, t, bits):
+    """sum_{n>=0} coeff(n) (t+n)^(-s) for coefficients that decay at least
+    like 2^(-n/2), summed until 16 terms in a row are below 2^-bits."""
+    acc = mpmath.mpc(0)
+    n = small = 0
+    while small < 16:
+        term = coeff(n) * (t + n) ** (-s)
+        acc += term
+        small = small + 1 if abs(term) < mpmath.mpf(2) ** -bits else 0
+        n += 1
+    return acc
+
+
+def _em_reference(label, s, t, bits):
+    """D(s, t) at ``bits`` from mpmath's Hurwitz zeta or a direct sum."""
+    with mp.workprec(bits):
+        s = mpmath.mpc(s)
+        t = mpmath.mpf(t.numerator) / t.denominator
+        if label in EM_CLASSES:
+            m, classes = EM_CLASSES[label]
+            return _hurwitz_combination(classes, m, s, t)
+        if label in GEOMETRIC_COEFFS:
+            coeff = GEOMETRIC_COEFFS[label]
+            return _geometric_sum(lambda n: as_mpc(coeff(n), bits), s, t, bits)
+        # zeta-even: a_{2j} = zeta(2j), split as 1 plus zeta(2j) - 1 <= 2^(1-2j)
+        excess = _geometric_sum(lambda n: mpmath.zeta(n + 1) - 1 if n % 2 else 0, s, t, bits)
+        return mpmath.mpf(2) ** -s * mpmath.zeta(s, (t + 1) / 2) + excess
+
+
+def test_em_reference_classes_match_coefficients():
+    members = dict(default_members())
+    for label, (m, classes) in EM_CLASSES.items():
+        a = numeval.coeffs(members[label], 4 * m)
+        for n in range(4 * m):
+            assert a[n] == sum(c * n**k for k, c in enumerate(classes.get(n % m, []))), (label, n)
+    for label, coeff in GEOMETRIC_COEFFS.items():
+        assert numeval.coeffs(members[label], 12) == [coeff(n) for n in range(12)], label
+
+
+@pytest.mark.parametrize("bits,eps", [(64, 1e-12), (128, 1e-25), (256, 1e-60)])
+def test_em_routes_within_bound_across_catalog(bits, eps):
+    # the planned head and orders must certify every bound at eps, and the
+    # value must lie within that bound of a reference at twice the bits
+    ctx = ApproxContext(precision_bits=bits, target_eps=eps)
+    for label, desc in default_members():
+        nu = laurent_at_one(desc, 1).nu
+        for re, im, t in itertools.product((nu + 0.51, nu + 3), (0.5, -8, 16), (F(1, 2), F(7, 3), F(41, 2))):
+            s = complex(re, im)
+            results = [direct_sum(desc, s, t, ctx)]
+            if label in EM_CLASSES:
+                results.append(oracle_eval(desc, s, t, ctx))
+            ref = _em_reference(label, s, t, 2 * bits)
+            for r in results:
+                assert r.tail_bound <= eps, (label, s, t, r.method)
+                with mp.workprec(2 * bits):
+                    v = r.mpc()
+                    slack = mpmath.mpf(2) ** (2 - bits) * max(1, abs(v))
+                    assert abs(v - ref) <= r.tail_bound + slack, (label, s, t, r.method, abs(v - ref))
+
+
+def test_hurwitz_head_sized_from_the_order_needed():
+    # the cap K = 0.18 * work once set a head of 124 terms here
+    s = mpmath.mpc(1.5, 2)
+    assert direct_sum(GEO, s, F(1, 2), CTX).truncation < 40
+    assert oracle_eval(GEO, s, F(1, 2), CTX).truncation < 40
+
+
+def test_zeta_even_zero_rest_term_never_stops_the_rest():
+    # the rest zeta(n+1) - 1 is zero on the even index class, so the sum
+    # from an even index opens with a zero term that bounds nothing
+    desc = catalog_descriptor("zeta-even")
+    work = CTX.working_bits(90)
+    model = numeval._coefficient_model(desc, work)
+    assert model.ratio_per_term
+    eps = mpmath.mpf(CTX.target_eps)
+    with mp.workprec(work):
+        s, t = mpmath.mpc(1.51, -8), mpmath.mpf(7) / 3
+        for N in (0, 10, 24):
+            val, bound, extra = numeval._geometric_rest_tail(desc, model, s, t, N, eps, work, CTX.max_terms)
+            assert bound < eps and extra > 2
+            ref = _geometric_sum(lambda n: mpmath.zeta(N + n + 1) - 1 if (N + n) % 2 else 0, s, t + N, work)
+            assert abs(val - ref) <= bound + mpmath.mpf(2) ** (2 - CTX.precision_bits), N
+
+
+def test_integer_s_continuation_builds_low_order_expansions(monkeypatch):
+    # hasse_eval reads at most order max(n, 16) of the expansion at s = -n
+    requested = []
+    original = numeval._shifted_mp
+
+    def recording(desc, shift, order, prec):
+        requested.append(order)
+        return original(desc, shift, order, prec)
+
+    monkeypatch.setattr(numeval, "_shifted_mp", recording)
+    for desc in (BARNES, catalog_descriptor("dirichletL", modulus=7), catalog_descriptor("zeta-even")):
+        nu = laurent_at_one(desc, 1).nu
+        for k in (0, 3, 7, 20):
+            for t in (F(1, 2), mpmath.mpf(0.5)):
+                continue_dirichlet(desc, -k, t, CTX)
+                assert requested[-1] == max(16, nu + k)
+    assert 256 not in requested
+
+
+def test_integer_s_continuation_exact_and_within_bound(monkeypatch):
+    # exact data at rational t: the operator part is the exact Fraction
+    # (D(-k, t) - head) * rising, whatever the expansion order, so it does
+    # not move with the order; other data within tail_bound of the
+    # Bernoulli-polynomial special values
+    calls = []
+    original = numeval.hasse_eval
+
+    def recording(mpx, s, t, ctx):
+        out = original(mpx, s, t, ctx)
+        calls.append((t, out))
+        return out
+
+    monkeypatch.setattr(numeval, "hasse_eval", recording)
+    for label, desc in default_members():
+        nu = laurent_at_one(desc, 1).nu
+        for t in (F(1, 2), F(7, 3)):
+            rep = analyze(desc, t, 7, prec=400)
+            for k in (0, 1, 3, 7):
+                r = continue_dirichlet(desc, -k, t, CTX)
+                t_shifted, hres = calls[-1]
+                special = rep.special_values[k]
+                if isinstance(special, F):
+                    shift = int(t_shifted - t)
+                    a = numeval.coeffs(desc, shift)
+                    head = sum(a[n] * (t + n) ** k for n in range(shift))
+                    rising = 1
+                    for j in range(nu):
+                        rising *= -k - nu + j
+                    assert hres.exact_value == (special - head) * rising, (label, t, k)
+                with mp.workprec(400):
+                    v = r.mpc()
+                    ref = special if not isinstance(special, F) else mpmath.mpf(special.numerator) / special.denominator
+                    slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(v))
+                    assert abs(v - ref) <= r.tail_bound + slack, (label, t, k)
+
+
+def test_integer_s_mpc_branch_uses_one_weight_table(monkeypatch):
+    # the mpc weights are keyed on the order's guard bits, so every n <= 16
+    # reads one table
+    keys = []
+    original = numeval._cached_weights
+
+    def recording(mpx, order, prec):
+        keys.append((mpx, order, prec))
+        return original(mpx, order, prec)
+
+    monkeypatch.setattr(numeval, "_cached_weights", recording)
+    for name, params, t in (
+        ("zeta-even", {}, F(1, 2)),
+        ("dirichletL", {"modulus": 7}, mpmath.mpf(0.5)),
+    ):
+        desc = catalog_descriptor(name, **params)
+        nu = laurent_at_one(desc, 1).nu
+        rep = analyze(desc, F(1, 2), 16, prec=400)
+        keys.clear()
+        for n in range(nu, 17):
+            r = continue_dirichlet(desc, nu - n, t, CTX)
+            assert r.exact_value is None
+            special = rep.special_values[n - nu]
+            with mp.workprec(400):
+                v = r.mpc()
+                ref = special if not isinstance(special, F) else mpmath.mpf(special.numerator) / special.denominator
+                slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(v))
+                assert abs(v - ref) <= r.tail_bound + slack, (name, n)
+        assert len(set(keys)) == 1, (name, sorted({k[1:] for k in keys}))
