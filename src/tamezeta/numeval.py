@@ -434,8 +434,8 @@ def _coefficient_model(desc, prec: int) -> _CoeffModel:
         return _CoeffModel(1, (Poly(),), None, "oscillatory")
     if isinstance(desc, BuiltinDescriptor):
         if desc.name == "central-binomial":
-            # a_{n+2}/a_{n+1} = (n+2)/(2(2n+3)) <= 3/10 for n >= 0
-            return _CoeffModel(1, (Poly(),), Fraction(3, 10), "geometric", True)
+            # a_{n+2}/a_{n+1} = (n+2)/(2(2n+3)) <= 1/3, with equality at n = 0
+            return _CoeffModel(1, (Poly(),), Fraction(1, 3), "geometric", True)
         # even-zeta stream: 1 on the odd index class, plus (zeta(n+1)-1)
         # which is bounded by 2^(-n) * 2 for n >= 1; zero on the even class,
         # and (zeta(n+3)-1)/(zeta(n+1)-1) <= 1/4, so 1/2 holds per index
@@ -469,11 +469,12 @@ def direct_sum(desc, s, t, ctx: ApproxContext) -> EvalResult:
     tail classes are completed by Euler-Maclaurin with a rigorous remainder
     bound, exponentially small coefficient parts against their certified
     ratio, and unit-circle oscillatory parts by iterated summation by
-    parts.  N comes from the tails' own bounds: :func:`_em_plan` takes the
-    cheapest head plus Euler-Maclaurin orders whose estimated remainder
-    meets each class's eps/(2m), and :func:`_oscillatory_head` the cheapest
-    head plus summation-by-parts rounds; a series with neither has N = 0
-    and its geometric rest starts at the first term.  Plain truncation with
+    parts.  N comes from the Euler-Maclaurin tails' own bounds:
+    :func:`_em_plan` takes the cheapest head plus orders whose estimated
+    remainder meets each class's eps/(2m); a series without such classes
+    has N = 0 and its geometric rest starts at the first term.  An
+    oscillatory series takes N = 2K + |Im s|/2 + 33, which grows with the
+    order cap K on each retry.  Plain truncation with
     the |a_n| <= C n^(nu-1+eps) envelope cannot reach tight tolerances
     near the abscissa; the recorded tail_bound covers the completed tails
     instead.
@@ -504,9 +505,7 @@ def direct_sum(desc, s, t, ctx: ApproxContext) -> EvalResult:
         last_exc = None
         for _attempt in range(3):
             if model.kind == "oscillatory":
-                # planned at half the tail's eps/4, a margin for the float estimate
-                N = _oscillatory_head(sc, tc, as_mpc(desc.w, work), eps / 8, ctx.max_terms)
-                plan = None if N is None else (N, [])
+                plan = (int(2 * K + abs(sc.imag) / 2 + 32) + 1, [])
             else:
                 plan = _em_plan(dabs, sc, tc, m, eps / (2 * m), K, ctx.max_terms)
             if plan is None:
@@ -653,32 +652,6 @@ def _delta_pow_f(f, n, k):
     for j in range(k + 1):
         acc += (-1) ** (k - j) * binomial(k, j) * f(n + j)
     return acc
-
-
-def _oscillatory_head(sc, tc, w, eps, max_terms):
-    """Head length for :func:`_oscillatory_tail`.
-
-    For each of its orders K = 8, 16, ..., 64, the least N at which its
-    bound |(-s)_K| (2/|1-w|)^K (tc+N)^(1-Re s-K)/(Re s+K-1) is at most eps;
-    the order with the least N + K(K+1)/2 + 9(K+1) powers (its boundary
-    differences and its nine shortest rounds) sets N.  None when every
-    order passes max_terms."""
-    sr, tf = float(sc.real), float(tc)
-    log_eps = float(mpmath.log(eps))
-    log_w = math.log(2 / abs(complex(1 - w)))
-    log_fall = 0.0  # log |(-s)_K|
-    best = None
-    for K in range(1, 65):
-        log_fall += math.log(abs(complex(-sc) - (K - 1)))
-        if K % 8:
-            continue
-        e = sr + K - 1
-        n = _least_head(log_fall + K * log_w - math.log(e), e, log_eps, tf, max_terms)
-        if n is not None:
-            cost = n + K * (K + 1) // 2 + 9 * (K + 1)
-            if best is None or cost < best[0]:
-                best = (cost, n)
-    return None if best is None else best[1]
 
 
 def _oscillatory_tail(desc, sc, tc, N, eps, work):
@@ -858,12 +831,14 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     H(-n, t) = sum_sigma W_sigma (t+sigma)^n over the shift weights at order
     min(mpx.order, max(n, 16)), summed in ascending sigma.  Exact data and a
     rational t give an exact Fraction; otherwise the weights and the sum are
-    mpc at max(order, n) + 64 guard bits, and the bound is the rounding to
-    ctx.precision_bits.  Otherwise the operator polynomials are converted
-    per variable into a shift accumulator with binomial weights, summed
-    over shifts in ascending order at elevated precision, and the
-    truncation order is doubled until two successive estimates agree
-    within eps; stagnation raises :class:`SlowConvergenceError`.
+    mpc at max(order, n) + 64 guard bits, raised once if the terms cancel
+    beyond them, and the value keeps an absolute 2^-precision_bits, since a
+    caller may cancel it against a head as large.  Otherwise the operator
+    polynomials are converted per variable into a shift accumulator with
+    binomial weights, summed over shifts in ascending order at elevated
+    precision, and the truncation order is doubled until two successive
+    estimates agree within eps; stagnation raises
+    :class:`SlowConvergenceError`.
 
     H(s, t) is the entire continuation of s(s+1)...(s+nu-1) D(s+nu, t).
     """
@@ -883,17 +858,30 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
             if isinstance(val, CycloNum):
                 val = val.to_fraction()
             return _result(val, "hasse-exact", n, Fraction(0), ctx, exact=val)
-        # guard bits for the order, not for n: one table for every n <= 16
-        work = ctx.working_bits(max(order, n) + 64)
-        weights = _cached_weights(mpx, order, work)
-        with mp.workprec(work):
-            tc = as_mpc(t, work)
-            val = mpmath.mpc(0)
-            for sigma in sorted(weights):
-                val += weights[sigma] * (tc + sigma) ** n
-            # the rounding to ctx.precision_bits, relative to the value
-            bound = mpmath.mpf(2) ** (-ctx.precision_bits) * max(1, abs(val))
-        return _result(val, "hasse-exact", n, bound, ctx)
+        # guard bits for the order, not for n: one table for every n <= 16,
+        # raised once when the terms cancel by more than the bits cover
+        guard = max(order, n) + 64
+        eps = mpmath.mpf(ctx.target_eps)
+        for _attempt in range(2):
+            work = ctx.working_bits(guard)
+            weights = _cached_weights(mpx, order, work)
+            with mp.workprec(work):
+                tc = as_mpc(t, work)
+                val = mpmath.mpc(0)
+                size = mpmath.mpf(0)
+                for sigma in sorted(weights):
+                    term = weights[sigma] * (tc + sigma) ** n
+                    val += term
+                    size += abs(term)
+                # the weights hold about work - order bits (see shift_weights)
+                # of terms as large as size; the value is rounded to an
+                # absolute 2^-precision_bits
+                bound = mpmath.mpf(2) ** (-ctx.precision_bits) + size * mpmath.mpf(2) ** (order - work)
+            if bound <= eps:
+                bits = ctx.precision_bits + max(0, mpmath.mag(val))
+                return EvalResult(BigComplex(val, prec=bits), "hasse-exact", n, bound)
+            guard += int(mpmath.mag(bound / eps)) + 2
+        raise SlowConvergenceError("operator sum at s = -%d cancels beyond its guard bits" % n)
     eps_b = _eps_bits(ctx)
     eps = mpmath.mpf(ctx.target_eps)
     ladder = [M for M in (32, 64, 128, 256, 512) if M < mpx.order] + [mpx.order]
@@ -948,7 +936,10 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
     evaluation proceeds at elevated precision and flags the result.  At an
     integer sigma <= nu the operator series terminates, and the shifted
     expansion is built only to the order hasse_eval reads there,
-    max(nu - sigma, 16).
+    max(nu - sigma, 16).  Left of the axis the head and the operator part
+    grow like the head's largest term and cancel to D; where that costs
+    more bits than the working precision spares, they are summed with as
+    many more.
     """
     from .continuation import analyze
 
@@ -963,9 +954,6 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
         nu = laurent_at_one(desc, 2, prec=work).nu
         flags = []
         extra_bits = 0
-        rising = mpmath.mpc(1)
-        for j in range(nu):
-            rising *= sc - nu + j
         if nu:
             rep = analyze(desc, t if isinstance(t, (int, Fraction)) else tc, 0, prec=work)
             for n in range(1, nu + 1):
@@ -992,13 +980,25 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
             # deeper truncation ladder there
             order = 256 if abs(sc.imag) <= 16 else 512
         mpx = _shifted_mp(desc, shift, order, ctx.working_bits(eps_b + 64))
+        # left of the axis the head and the operator part each grow like the
+        # head's largest term and cancel to D: carry the bits they cancel
+        lift = 0
+        if sc.real < 0:
+            largest = max(abs(as_mpc(a, work)) for a in coeffs(desc, shift, prec=work))
+            largest *= (tc + shift) ** (-sc.real)
+            lift = max(0, int(mpmath.mag(largest)) + ctx.precision_bits + 8 - work)
+    work += lift
+    with mp.workprec(work):
+        sc, tc = as_mpc(sigma, work), as_mpf(t, work)
+        rising = mpmath.mpc(1)
+        for j in range(nu):
+            rising *= sc - nu + j
         head = mpmath.mpc(0)
-        if shift:
-            stream = coeffs(desc, shift, prec=work)
-            for n in range(shift):
-                a = stream[n]
-                if a != 0:
-                    head += as_mpc(a, work) * (tc + n) ** (-sc)
+        stream = coeffs(desc, shift, prec=work)
+        for n in range(shift):
+            a = stream[n]
+            if a != 0:
+                head += as_mpc(a, work) * (tc + n) ** (-sc)
         sub_eps = float(eps / 8 * min(mpmath.mpf(1), abs(rising))) if nu else float(eps / 8)
         sub = ApproxContext(
             precision_bits=ctx.precision_bits + extra_bits + 32,
@@ -1008,8 +1008,7 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
         hres = hasse_eval(mpx, hs, t + shift if isinstance(t, (int, Fraction)) else tc + shift, sub)
         # an exact operator value enters whole, not rounded to the sub-context's bits
         hval = as_mpc(hres.exact_value, work) if hres.exact_value is not None else hres.mpc()
-        tail_val = hval / rising if nu else hval
-        value = head + tail_val
+        value = head + (hval / rising if nu else hval)
         bound = as_mpf(hres.tail_bound, work)
         if nu:
             bound = bound / abs(rising)

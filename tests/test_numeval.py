@@ -530,22 +530,23 @@ def test_hasse_integer_s_mpc_branch_matches_exact():
 
 
 def test_integer_s_continuation_never_builds_full_order_weights(monkeypatch):
-    # a weight table at the order-256 of a generic point's expansion would
+    # hasse_eval reads at most order max(n, 16) of the expansion at s = -n;
+    # the order-256 expansion of a generic point and its weight table would
     # cost seconds for a small n
     requested = []
-    original = numeval._cached_weights
+    original = numeval._shifted_mp
 
-    def recording(mpx, order, prec):
-        requested.append((mpx.order, order))
-        return original(mpx, order, prec)
+    def recording(desc, shift, order, prec):
+        requested.append(order)
+        return original(desc, shift, order, prec)
 
-    monkeypatch.setattr(numeval, "_cached_weights", recording)
-    for desc in (BARNES, catalog_descriptor("dirichletL", modulus=7)):
-        for k in (0, 3):
+    monkeypatch.setattr(numeval, "_shifted_mp", recording)
+    for desc in (BARNES, catalog_descriptor("dirichletL", modulus=7), catalog_descriptor("zeta-even")):
+        nu = laurent_at_one(desc, 1).nu
+        for k in (0, 3, 7, 20):
             for t in (F(1, 2), mpmath.mpf(0.5)):
                 continue_dirichlet(desc, -k, t, CTX)
-    assert requested
-    assert all(order <= mpx_order < 256 for mpx_order, order in requested)
+                assert requested[-1] == max(16, nu + k)
 
 
 def test_eval_result_precision():
@@ -661,6 +662,21 @@ def test_hurwitz_head_sized_from_the_order_needed():
     assert oracle_eval(GEO, s, F(1, 2), CTX).truncation < 40
 
 
+def test_central_binomial_rest_bound_covers_the_remainder():
+    # a_{n+2}/a_{n+1} = 1/3 at n = 0: at large t the rest stops at its
+    # first term, and its bound must cover everything after that term
+    desc = catalog_descriptor("central-binomial")
+    bits = 2 * CTX.precision_bits
+    for s, t in ((13, F(100)), (7, F(10**4))):
+        r = direct_sum(desc, s, t, CTX)
+        assert r.truncation == 1 and r.tail_bound <= CTX.target_eps
+        ref = _em_reference("central-binomial", s, t, bits)
+        with mp.workprec(bits):
+            remainder = ref - (mpmath.mpf(t.numerator) / t.denominator) ** -s / 2
+            assert abs(remainder) <= r.tail_bound, (s, t, r.tail_bound, remainder)
+            assert abs(r.mpc() - ref) <= r.tail_bound + mpmath.mpf(2) ** (2 - CTX.precision_bits) * abs(ref)
+
+
 def test_zeta_even_zero_rest_term_never_stops_the_rest():
     # the rest zeta(n+1) - 1 is zero on the even index class, so the sum
     # from an even index opens with a zero term that bounds nothing
@@ -676,25 +692,6 @@ def test_zeta_even_zero_rest_term_never_stops_the_rest():
             assert bound < eps and extra > 2
             ref = _geometric_sum(lambda n: mpmath.zeta(N + n + 1) - 1 if (N + n) % 2 else 0, s, t + N, work)
             assert abs(val - ref) <= bound + mpmath.mpf(2) ** (2 - CTX.precision_bits), N
-
-
-def test_integer_s_continuation_builds_low_order_expansions(monkeypatch):
-    # hasse_eval reads at most order max(n, 16) of the expansion at s = -n
-    requested = []
-    original = numeval._shifted_mp
-
-    def recording(desc, shift, order, prec):
-        requested.append(order)
-        return original(desc, shift, order, prec)
-
-    monkeypatch.setattr(numeval, "_shifted_mp", recording)
-    for desc in (BARNES, catalog_descriptor("dirichletL", modulus=7), catalog_descriptor("zeta-even")):
-        nu = laurent_at_one(desc, 1).nu
-        for k in (0, 3, 7, 20):
-            for t in (F(1, 2), mpmath.mpf(0.5)):
-                continue_dirichlet(desc, -k, t, CTX)
-                assert requested[-1] == max(16, nu + k)
-    assert 256 not in requested
 
 
 def test_integer_s_continuation_exact_and_within_bound(monkeypatch):
@@ -755,7 +752,7 @@ def test_integer_s_mpc_branch_uses_one_weight_table(monkeypatch):
         keys.clear()
         for n in range(nu, 17):
             r = continue_dirichlet(desc, nu - n, t, CTX)
-            assert r.exact_value is None
+            assert r.exact_value is None and r.tail_bound <= CTX.target_eps, (name, n)
             special = rep.special_values[n - nu]
             with mp.workprec(400):
                 v = r.mpc()
@@ -763,3 +760,23 @@ def test_integer_s_mpc_branch_uses_one_weight_table(monkeypatch):
                 slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(v))
                 assert abs(v - ref) <= r.tail_bound + slack, (name, n)
         assert len(set(keys)) == 1, (name, sorted({k[1:] for k in keys}))
+
+
+def test_integer_s_far_left_carries_the_cancelled_bits():
+    # at s = -n the head and the operator part grow like (t+shift)^n and
+    # cancel to D(-n, t); at n = 40 that is about 200 bits, beyond the
+    # guard bits of both, so the head is summed with more bits and the
+    # weights are rebuilt with more guard bits
+    for label in ("hurwitz", "barnes-1,1"):
+        desc = dict(default_members())[label]
+        rep = analyze(desc, F(1, 2), 40, prec=600)
+        for n in (29, 40):
+            special = rep.special_values[n]
+            for t in (F(1, 2), mpmath.mpf(0.5)):
+                r = continue_dirichlet(desc, -n, t, CTX)
+                assert r.tail_bound <= CTX.target_eps, (label, n, t)
+                with mp.workprec(600):
+                    v = r.mpc()
+                    ref = mpmath.mpf(special.numerator) / special.denominator
+                    slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(v))
+                    assert abs(v - ref) <= r.tail_bound + slack, (label, n, t, abs(v - ref))
