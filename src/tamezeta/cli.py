@@ -63,6 +63,23 @@ def _parse_rational_list(text: str):
     return tuple(_parse_rational(p) for p in parts)
 
 
+def _parse_int_list(text: str):
+    return tuple(int(x) for x in text.replace(",", " ").split())
+
+
+# catalog parameters and their parsers, shared by the flags and --desc-file
+_CATALOG_PARAMS = {
+    "modulus": int,
+    "chi": _parse_rational_list,
+    "power": int,
+    "w": _parse_complex,
+    "a": _parse_int_list,
+    "g": _parse_rational_list,
+    "p": int,
+    "d": int,
+}
+
+
 def canonical_dumps(doc) -> str:
     return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
@@ -100,25 +117,9 @@ def descriptor_from_args(args) -> object:
     if getattr(args, "desc_file", None):
         return _descriptor_from_file(args.desc_file)
     if getattr(args, "catalog", None):
-        name = args.catalog
-        params = {}
-        if args.modulus is not None:
-            params["modulus"] = args.modulus
-        if args.chi is not None:
-            params["chi"] = _parse_rational_list(args.chi)
-        if args.power is not None:
-            params["power"] = args.power
-        if args.w is not None:
-            params["w"] = _parse_complex(args.w)
-        if args.a is not None:
-            params["a"] = tuple(int(x) for x in args.a.replace(",", " ").split())
-        if args.g is not None:
-            params["g"] = _parse_rational_list(args.g)
-        if args.p is not None:
-            params["p"] = args.p
-        if args.d is not None:
-            params["d"] = args.d
-        return catalog_descriptor(name, **params)
+        values = {key: getattr(args, key) for key in _CATALOG_PARAMS}
+        params = {key: _CATALOG_PARAMS[key](text) for key, text in values.items() if text is not None}
+        return catalog_descriptor(args.catalog, **params)
     if getattr(args, "num", None) is not None and getattr(args, "den", None) is not None:
         return RationalDescriptor(_parse_rational_list(args.num), _parse_rational_list(args.den))
     raise ValueError("no descriptor given: use --catalog, --num/--den, or --desc-file")
@@ -134,23 +135,7 @@ def _descriptor_from_file(path: str):
     sec = cp["descriptor"]
     kind = sec.get("kind", "catalog").strip()
     if kind == "catalog":
-        params = {}
-        if "modulus" in sec:
-            params["modulus"] = sec.getint("modulus")
-        if "chi" in sec:
-            params["chi"] = _parse_rational_list(sec["chi"])
-        if "power" in sec:
-            params["power"] = sec.getint("power")
-        if "w" in sec:
-            params["w"] = _parse_complex(sec["w"])
-        if "a" in sec:
-            params["a"] = tuple(int(x) for x in sec["a"].replace(",", " ").split())
-        if "g" in sec:
-            params["g"] = _parse_rational_list(sec["g"])
-        if "p" in sec:
-            params["p"] = sec.getint("p")
-        if "d" in sec:
-            params["d"] = sec.getint("d")
+        params = {key: parse(sec[key]) for key, parse in _CATALOG_PARAMS.items() if key in sec}
         return catalog_descriptor(sec["name"].strip(), **params)
     if kind == "rational":
         return RationalDescriptor(_parse_rational_list(sec["num"]), _parse_rational_list(sec["den"]))
@@ -161,7 +146,7 @@ def _descriptor_from_file(path: str):
     if kind == "lerch":
         return LerchDescriptor(_parse_complex(sec["w"]))
     if kind == "barnes":
-        return BarnesDescriptor(tuple(int(x) for x in sec["a"].replace(",", " ").split()))
+        return BarnesDescriptor(_parse_int_list(sec["a"]))
     if kind == "ehrhart":
         return EhrhartDescriptor(_parse_rational_list(sec["g"]), sec.getint("p"), sec.getint("d"))
     if kind == "builtin":
@@ -378,14 +363,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_descriptor_flags(p):
         p.add_argument("--catalog", choices=CATALOG_NAMES, default=None)
-        p.add_argument("--modulus", type=int, default=None)
+        p.add_argument("--modulus", type=str, default=None)
         p.add_argument("--chi", type=str, default=None, help="comma-separated character values")
-        p.add_argument("--power", type=int, default=None)
+        p.add_argument("--power", type=str, default=None)
         p.add_argument("--w", type=str, default=None)
         p.add_argument("--a", type=str, default=None, help="comma-separated positive integers")
         p.add_argument("--g", type=str, default=None, help="numerator coefficients")
-        p.add_argument("--p", type=int, default=None)
-        p.add_argument("--d", type=int, default=None)
+        p.add_argument("--p", type=str, default=None)
+        p.add_argument("--d", type=str, default=None)
         p.add_argument("--num", type=str, default=None, help="rational numerator coefficients")
         p.add_argument("--den", type=str, default=None, help="rational denominator coefficients")
         p.add_argument("--desc-file", type=str, default=None, dest="desc_file")

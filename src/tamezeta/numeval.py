@@ -39,17 +39,18 @@ from .cyclotomic import CycloNum, cyclotomic_poly
 from .scalar import ApproxContext, BigComplex, as_mpc, as_mpf, binomial, falling_factorial
 from .series import Poly, RationalFn, poly_divmod, poly_invmod, recenter
 from .tame import (
-    DEFAULT_MARGIN,
     BuiltinDescriptor,
     LerchDescriptor,
     MultiPowerExpansion,
     NotTameError,
+    RationalDescriptor,
+    _cyclotomic_factor_split,
     alpha_evaluator,
     as_rational_fn,
     build_shifted_multipower,
     coeffs,
     laurent_at_one,
-    plan_exponents,
+    singularities,
 )
 
 __all__ = [
@@ -400,8 +401,6 @@ def _partial_split(rf: RationalFn, orders: dict, rest: Poly):
 def _coefficient_model(desc, prec: int) -> _CoeffModel:
     rf = as_rational_fn(desc)
     if rf is not None:
-        from .tame import _cyclotomic_factor_split
-
         orders, rest = _cyclotomic_factor_split(rf.den)
         period = 1
         degree_bound = 1
@@ -410,7 +409,14 @@ def _coefficient_model(desc, prec: int) -> _CoeffModel:
             degree_bound += mult
         rest_ratio = None
         if rest.degree > 0:
-            rest_ratio = _rest_ratio_bound(rest, prec)
+            # the rest's roots are the singularities that are not roots of unity
+            with mp.workprec(2 * prec):
+                min_mod = min(
+                    abs(as_mpc(q.value, 2 * prec)) for q in singularities(desc, prec) if q.root_of_unity is None
+                )
+                if min_mod <= 1:
+                    raise NotTameError("non-cyclotomic denominator root inside the closed unit disk")
+                rest_ratio = +(1 / min_mod * (1 + mpmath.mpf(2) ** (-prec // 4)))
         if not orders:
             # c/(1 - wz) is c w^n: its ratio holds from term to term
             per_term = rest.degree == 1 and rf.num.degree == 0
@@ -419,8 +425,6 @@ def _coefficient_model(desc, prec: int) -> _CoeffModel:
             polys = _fit_quasi_polynomial(desc, period, degree_bound)
             return _CoeffModel(period, polys, None, "quasi")
         cyclo_rf, rest_rf = _partial_split(rf, orders, rest)
-        from .tame import RationalDescriptor
-
         cd = RationalDescriptor(tuple(cyclo_rf.num.coeffs), tuple(cyclo_rf.den.coeffs))
         polys = _fit_quasi_polynomial(cd, period, degree_bound)
         per_term = rest.degree == 1 and rest_rf is not None and rest_rf.num.degree == 0
@@ -441,20 +445,6 @@ def _coefficient_model(desc, prec: int) -> _CoeffModel:
         # and (zeta(n+3)-1)/(zeta(n+1)-1) <= 1/4, so 1/2 holds per index
         return _CoeffModel(2, (Poly(), Poly([Fraction(1)])), Fraction(1, 2), "mixed", True)
     raise TypeError("unknown descriptor %r" % (desc,))
-
-
-def _rest_ratio_bound(rest: Poly, prec: int):
-    from .tame import _aberth_roots, _squarefree_decomposition
-
-    with mp.workprec(2 * prec):
-        min_mod = mpmath.inf
-        for factor, _m in _squarefree_decomposition(rest):
-            if factor.degree > 0:
-                for r in _aberth_roots(factor, prec):
-                    min_mod = min(min_mod, abs(r))
-        if min_mod <= 1:
-            raise NotTameError("non-cyclotomic denominator root inside the closed unit disk")
-        return +(1 / min_mod * (1 + mpmath.mpf(2) ** (-prec // 4)))
 
 
 # ---------------------------------------------------------------------------
@@ -713,14 +703,6 @@ def oracle_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
 
         D(s,t) = sum_{r,i} gamma_{r,i}(t) m^(i-s) zeta(s-i, (t+r)/m).
     """
-    from .tame import _cyclotomic_factor_split
-
-    rf = as_rational_fn(desc)
-    if rf is None:
-        raise RegionError("oracle_eval needs a rational descriptor")
-    _orders, rest = _cyclotomic_factor_split(rf.den)
-    if rest.degree > 0:
-        raise RegionError("oracle_eval needs a purely cyclotomic denominator")
     eps_b = _eps_bits(ctx)
     work = ctx.working_bits(eps_b)
     with mp.workprec(work):
@@ -730,6 +712,8 @@ def oracle_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
             raise RegionError("t must be positive")
         eps = mpmath.mpf(ctx.target_eps)
         model = _coefficient_model(desc, work)
+        if model.kind != "quasi":
+            raise RegionError("oracle_eval needs a rational descriptor with a purely cyclotomic denominator")
         m = model.period
         pieces = []
         for r, poly in enumerate(model.class_polys):
@@ -769,7 +753,9 @@ def shift_weights(mpx: MultiPowerExpansion, order: int, prec: int | None = None)
 
     Exact weights (Fraction or CycloNum) when ``prec`` is None; otherwise
     mpc weights at ``prec`` bits, which is cancellation-safe when ``prec``
-    exceeds the target precision by ~order bits.  Zero weights are dropped."""
+    exceeds the target precision by ~order bits.  Zero weights are dropped.
+    :func:`hasse_eval` caches its tables per expansion, rung (order) and
+    64-bit precision class, so nearby working precisions share one table."""
     scalar = (lambda c: c) if prec is None else (lambda c: as_mpc(c, prec))
     with mp.workprec(prec if prec is not None else mp.prec):
         total: dict = {}
@@ -801,8 +787,14 @@ def shift_weights(mpx: MultiPowerExpansion, order: int, prec: int | None = None)
     return out
 
 
-# keyed by expansion identity, truncation order and precision
+# keyed by expansion identity, truncation order and precision class
 _cached_weights = lru_cache(maxsize=64)(shift_weights)
+
+
+def _precision_class(bits: int) -> int:
+    """Bits of the cached mpc weight table that serves ``bits`` working bits:
+    the next multiple of 64, at least the bits the caller's bounds assume."""
+    return -(-bits // 64) * 64
 
 
 def _as_exact_int(s):
@@ -838,7 +830,10 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     binomial weights, summed over shifts in ascending order at elevated
     precision, and the truncation order is doubled until two successive
     estimates agree within eps; stagnation raises
-    :class:`SlowConvergenceError`.
+    :class:`SlowConvergenceError`.  Weight tables are cached per expansion,
+    rung and 64-bit precision class, while each sum runs at the point's own
+    working precision, so the bits a point near a pole adds seldom cost a
+    new table.
 
     H(s, t) is the entire continuation of s(s+1)...(s+nu-1) D(s+nu, t).
     """
@@ -864,7 +859,7 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
         eps = mpmath.mpf(ctx.target_eps)
         for _attempt in range(2):
             work = ctx.working_bits(guard)
-            weights = _cached_weights(mpx, order, work)
+            weights = _cached_weights(mpx, order, _precision_class(work))
             with mp.workprec(work):
                 tc = as_mpc(t, work)
                 val = mpmath.mpc(0)
@@ -890,7 +885,7 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     history = []
     for M in ladder:
         work = ctx.working_bits(eps_b + M + 64)
-        weights = _cached_weights(mpx, M, work)
+        weights = _cached_weights(mpx, M, _precision_class(work))
         with mp.workprec(work):
             sc = as_mpc(s, work)
             tc = as_mpc(t, work)
@@ -920,9 +915,8 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
 
 @lru_cache(maxsize=32)
 def _shifted_mp(desc, shift, order, prec):
-    plan = plan_exponents(desc, DEFAULT_MARGIN, prec=prec)
     with mp.workprec(prec):
-        return build_shifted_multipower(desc, shift, plan=plan, order=order, prec=prec)
+        return build_shifted_multipower(desc, shift, order=order, prec=prec)
 
 
 def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
@@ -1020,15 +1014,15 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
 # ---------------------------------------------------------------------------
 
 
-def incgamma_eval(desc, s, t, ctx: ApproxContext, epsilon=None) -> EvalResult:
+def incgamma_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
     """Lower-incomplete-gamma split of D(s,t) for nu = 0 series:
 
         eps^s sum_n psi_n eps^n s^(rising n) gamma*(s+n, t eps)
         + (1/Gamma(s)) int_eps^infty e^(-ut) alpha(e^(-u)) u^(s-1) du
 
     where psi_n are the Taylor coefficients of alpha(e^(-u)) at u=0 and
-    eps < their convergence radius.  The head takes gamma*(s+nh, t eps)
-    once and the rest by the downward recurrence
+    eps = min(1, rho/2) for their convergence radius rho.  The head takes
+    gamma*(s+nh, t eps) once and the rest by the downward recurrence
     gamma*(a, z) = z gamma*(a+1, z) + e^(-z)/Gamma(a+1) (DLMF 8.8.1).  The
     integrand evaluates alpha in closed form (:func:`tame.alpha_evaluator`);
     the integral uses nested tanh-sinh levels with a certified cutoff, both
@@ -1048,12 +1042,7 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext, epsilon=None) -> EvalResult:
         if laur.nu != 0:
             raise RegionError("incomplete-gamma method needs a pole-free series (nu = 0)")
         rho = _exp_radius(desc, work)
-        if epsilon is None:
-            epsilon = min(mpmath.mpf(1), rho / 2)
-        else:
-            epsilon = as_mpf(epsilon, work)
-            if not (0 < epsilon < rho):
-                raise RegionError("epsilon must lie in (0, %s)" % mpmath.nstr(rho, 8))
+        epsilon = min(mpmath.mpf(1), rho / 2)
         ratio = epsilon / rho
         nh = int(mpmath.ceil((eps_b + 16) * mpmath.log(2) / -mpmath.log(ratio))) + 8
         laur_full = laurent_at_one(desc, nh + 2, prec=work)
@@ -1105,8 +1094,6 @@ def _gamma_star_down(sc, z, nh, prec):
 
 def _exp_radius(desc, work):
     """Distance from u=0 to the nearest singularity of alpha(e^(-u))."""
-    from .tame import singularities
-
     with mp.workprec(work):
         best = mpmath.inf
         for s_ in singularities(desc, work):

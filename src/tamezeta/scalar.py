@@ -23,7 +23,6 @@ __all__ = [
     "ApproxContext",
     "BigComplex",
     "binomial",
-    "rising_factorial",
     "falling_factorial",
     "agree_within",
     "as_mpf",
@@ -36,14 +35,6 @@ def binomial(n: int, k: int) -> int:
     if k < 0 or k > n or n < 0:
         return 0
     return comb(n, k)
-
-
-def rising_factorial(x, n: int):
-    """x (x+1) ... (x+n-1); empty product is 1.  Exact for exact ``x``."""
-    out = x - x + 1 if not isinstance(x, int) else 1
-    for j in range(n):
-        out = out * (x + j)
-    return out
 
 
 def falling_factorial(x, n: int):

@@ -18,7 +18,6 @@ __all__ = [
     "compose",
     "recenter",
     "series_pow_log_factor",
-    "geometric_series",
     "log_factor_base",
     "poly_divmod",
     "poly_gcd",
@@ -291,14 +290,6 @@ def compose(outer: TruncSeries, inner: TruncSeries) -> TruncSeries:
     for k in range(m - 1, -1, -1):
         acc = acc * inner + outer.coeffs[k]
     return acc
-
-
-def geometric_series(ratio, order: int, center: int = 0) -> TruncSeries:
-    """1/(1 - ratio*x) = sum ratio^n x^n to the given order."""
-    out = [1]
-    for _ in range(order):
-        out.append(out[-1] * ratio)
-    return TruncSeries(out, order, center)
 
 
 def log_factor_base(order: int) -> TruncSeries:

@@ -13,7 +13,7 @@ are expected to wrap floating computations in ``mp.workprec``.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from math import factorial, gcd
@@ -117,10 +117,14 @@ class LerchDescriptor:
     """alpha(z) = 1/(1 - w z), |w| <= 1."""
 
     w: object
+    # an exact w gives exact data and an equal mpf/mpc w approximate data, so
+    # the two must compare unequal for the caches keyed on the descriptor
+    exact: bool = field(init=False, repr=False)
 
     def __post_init__(self):
         if isinstance(self.w, float):
             object.__setattr__(self, "w", Fraction(self.w))
+        object.__setattr__(self, "exact", isinstance(self.w, (int, Fraction)))
 
 
 @dataclass(frozen=True)
@@ -183,7 +187,7 @@ def as_rational_fn(desc) -> RationalFn | None:
             den = den * den_base
         return RationalFn(num, den)
     if isinstance(desc, LerchDescriptor):
-        if isinstance(desc.w, (int, Fraction)):
+        if desc.exact:
             return RationalFn(Poly([Fraction(1)]), Poly([Fraction(1), -Fraction(desc.w)]))
         return None
     if isinstance(desc, BarnesDescriptor):
@@ -534,7 +538,7 @@ def laurent_at_one(desc, order: int, prec: int | None = None) -> LaurentAtOne:
     p = prec if prec is not None else mp.prec
     rf = as_rational_fn(desc)
     if rf is not None:
-        _check_tame_rational(rf, p)
+        singularities(desc, p)  # tameness screen
         return _laurent_of_rational(rf, order)
     if isinstance(desc, LerchDescriptor):
         return _lerch_laurent_numeric(desc, order, p)
@@ -683,35 +687,38 @@ def _rational_snap(f: Poly, roots: list, prec: int):
     return exact, numeric
 
 
-def singularities(desc, prec: int | None = None) -> list:
-    """Singularities of alpha other than z=1, with tameness screening."""
-    p = prec if prec is not None else mp.prec
+def singularities(desc, prec: int | None = None) -> tuple:
+    """Singularities of alpha other than z=1, with tameness screening.
+
+    Computed once per (descriptor, precision); every layer that needs them
+    (the tameness screen, the exponent plan, the coefficient model, the
+    incomplete-gamma radius) reads this one tuple."""
+    return _singularities(desc, prec if prec is not None else mp.prec)
+
+
+@lru_cache(maxsize=64)
+def _singularities(desc, p: int) -> tuple:
     rf = as_rational_fn(desc)
     if rf is not None:
-        return _rational_singularities(rf, p)
+        return tuple(_rational_singularities(rf, p))
     if isinstance(desc, LerchDescriptor):
         with mp.workprec(p):
             w = as_mpc(desc.w, p)
             if w == 0:
-                return []
+                return ()
             if abs(w) > 1 + mpmath.mpf(2) ** (-p // 2):
                 raise NotTameError("Lerch factor needs |w| <= 1")
             if w == 1:
-                return []
+                return ()
             q = 1 / w
-            return [Singularity(value=q, multiplicity=1, exact=False)]
+            return (Singularity(value=q, multiplicity=1, exact=False),)
     if isinstance(desc, BuiltinDescriptor):
         if desc.name == "central-binomial":
-            return [Singularity(value=Fraction(4), multiplicity=1, exact=True)]
+            return (Singularity(value=Fraction(4), multiplicity=1, exact=True),)
         # even-zeta: poles at every nonzero integer; only z=2 sits inside the
         # unit polydisk margin, the rest stay at distance >= 2 from z=1.
-        return [Singularity(value=Fraction(2), multiplicity=1, exact=True)]
+        return (Singularity(value=Fraction(2), multiplicity=1, exact=True),)
     raise TypeError("unknown descriptor %r" % (desc,))
-
-
-def _check_tame_rational(rf: RationalFn, prec: int) -> None:
-    """Raise NotTameError when the denominator has a forbidden root."""
-    _rational_singularities(rf, prec)
 
 
 def _rational_singularities(rf: RationalFn, prec: int) -> list:

@@ -5,7 +5,9 @@ import sys
 
 import pytest
 
-from tamezeta.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, canonical_dumps, main
+from tamezeta.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, build_parser, canonical_dumps, descriptor_from_args, main
+from tamezeta.catalog import catalog_descriptor
+from tamezeta.tame import CharacterDescriptor, EhrhartDescriptor, LerchDescriptor
 
 
 def _run(argv):
@@ -135,8 +137,6 @@ def test_compare_needs_two_methods():
 
 def test_complex_character_rejected():
     with pytest.raises(ValueError):
-        from tamezeta.tame import CharacterDescriptor
-
         CharacterDescriptor(4, (1, 1j, -1, -1j))
 
 
@@ -157,6 +157,28 @@ def test_desc_file(tmp_path):
     code, out = _run(["analyze", "--desc-file", str(cfg2), "--t0", "1/2", "--values", "1"])
     assert code == EXIT_OK
     assert json.loads(out)["nu"] == 2
+
+
+def test_desc_file_catalog_parameters_match_the_flags(tmp_path):
+    cases = (
+        ("dirichletL", {"modulus": "5", "chi": "1,-1,-1,1,0", "power": "2"}, CharacterDescriptor),
+        ("lerch", {"w": "1/3"}, LerchDescriptor),
+        ("ehrhart", {"g": "1,4,1", "p": "2", "d": "3"}, EhrhartDescriptor),
+    )
+    for name, params, kind in cases:
+        flags = ["analyze", "--catalog", name]
+        lines = ["[descriptor]", "kind = catalog", "name = " + name]
+        for key, text in params.items():
+            flags += ["--" + key, text]
+            lines.append("%s = %s" % (key, text))
+        cfg = tmp_path / (name + ".cfg")
+        cfg.write_text("\n".join(lines) + "\n")
+        from_flags = descriptor_from_args(build_parser().parse_args(flags))
+        from_file = descriptor_from_args(build_parser().parse_args(["analyze", "--desc-file", str(cfg)]))
+        assert isinstance(from_flags, kind)
+        # the parameters reach the descriptor instead of the catalog defaults
+        assert from_flags != catalog_descriptor(name), name
+        assert from_file == from_flags, name
 
 
 def test_output_file(tmp_path):

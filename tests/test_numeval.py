@@ -28,7 +28,7 @@ from tamezeta.numeval import (
     shift_weights,
     _tanh_sinh,
 )
-from tamezeta import numeval
+from tamezeta import numeval, tame
 from tamezeta.scalar import ApproxContext, agree_within, as_mpc, binomial
 from tamezeta.series import Poly, TruncSeries
 from tamezeta.tame import (
@@ -358,8 +358,6 @@ def test_incgamma_examples():
         assert agree_within(a.mpc(), b.mpc(), 1e-15)
     with pytest.raises(RegionError):
         incgamma_eval(GEO, 2, 1, CTX)  # nu = 1 is out of scope
-    with pytest.raises(RegionError):
-        incgamma_eval(ETA, 2, 1, CTX, epsilon=100)  # outside the radius
 
 
 def test_incgamma_bounds_hold_where_they_used_to_fail():
@@ -558,11 +556,21 @@ def test_eval_result_precision():
 def test_continue_dirichlet_does_not_depend_on_cache_state():
     s = mpmath.mpc(-1.5, 2.25)
     first = continue_dirichlet(BARNES, s, F(1, 2), CTX)
-    for cache in (numeval._coefficient_model, numeval._cached_weights, numeval._shifted_mp):
+    for cache in (numeval._coefficient_model, numeval._cached_weights, numeval._shifted_mp, tame._singularities):
         cache.cache_clear()
     again = continue_dirichlet(BARNES, s, F(1, 2), CTX)
     assert (again.value.real, again.value.imag) == (first.value.real, first.value.imag)
     assert again.tail_bound == first.tail_bound
+
+
+def test_exact_and_inexact_lerch_factors_are_cached_apart():
+    # w = 1/2 exact and as an mpf are equal numbers with exact and
+    # approximate data; caches keyed on the descriptor must keep them apart
+    inexact, exact = LerchDescriptor(mpmath.mpf(1) / 2), LerchDescriptor(F(1, 2))
+    assert inexact != exact
+    for desc, kind in ((inexact, "approx"), (exact, "exact")):
+        assert build_multipower(desc, order=6, prec=200).kind == kind
+        assert numeval._shifted_mp(desc, 8, 16, 200).kind == kind
 
 
 def test_hasse_eval_equal_expansions_give_identical_values():
@@ -780,3 +788,66 @@ def test_integer_s_far_left_carries_the_cancelled_bits():
                     ref = mpmath.mpf(special.numerator) / special.denominator
                     slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(v))
                     assert abs(v - ref) <= r.tail_bound + slack, (label, n, t, abs(v - ref))
+
+
+def test_near_pole_points_share_weight_tables(monkeypatch):
+    # the working bits grow as the point nears the pole at 1; the weight
+    # tables are keyed on their 64-bit class, so each rung needs at most two
+    original = numeval._cached_weights
+    points = [1 + d * mpmath.expj(0.7) for d in (0.9, 0.3, 0.1, 0.03, 0.01, 1e-4)]
+    ref_ctx = ApproxContext(precision_bits=256, target_eps=1e-60)
+    for name in ("hurwitz", "zeta-even"):
+        desc = catalog_descriptor(name)
+        rungs = {}
+
+        def recording(mpx, order, prec):
+            rungs.setdefault(order, set()).add(prec)
+            return original(mpx, order, prec)
+
+        monkeypatch.setattr(numeval, "_cached_weights", recording)
+        results = [continue_dirichlet(desc, s, F(1, 2), CTX) for s in points]
+        monkeypatch.undo()
+        assert rungs and all(len(precs) <= 2 for precs in rungs.values()), (name, rungs)
+        for s, r in zip(points, results):
+            if name == "hurwitz":
+                ref = hurwitz_oracle(s, F(1, 2), ref_ctx)
+            else:
+                ref = continue_dirichlet(desc, s, F(1, 2), ref_ctx)
+            with mp.workprec(300):
+                v = r.mpc()
+                slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(v))
+                assert abs(v - ref.mpc()) <= r.tail_bound + slack, (name, s)
+
+
+def test_singularities_computed_once_per_descriptor_and_precision(monkeypatch):
+    desc = catalog_descriptor("dirichletL", modulus=7)
+    calls = []
+    original = tame._rational_singularities
+
+    def recording(rf, prec):
+        calls.append(prec)
+        return original(rf, prec)
+
+    monkeypatch.setattr(tame, "_rational_singularities", recording)
+    tame._singularities.cache_clear()
+    numeval._coefficient_model.cache_clear()
+    work = CTX.working_bits(numeval._eps_bits(CTX))
+    for _ in range(3):
+        laurent_at_one(desc, 4, prec=work)
+        direct_sum(desc, 3, F(1, 2), CTX)
+        oracle_eval(desc, mpmath.mpc(-1.5, 2), F(1, 2), CTX)
+    assert calls == [work]
+
+
+def test_rest_ratio_is_the_nearest_rest_root():
+    prec = 160
+    # 1 - z/2; (1 - z)(1 - z/3), whose root at 1 is not part of the rest;
+    # 1 - z + z^2/2, with the complex roots 1 +- i
+    for den in ((1, F(-1, 2)), (1, F(-4, 3), F(1, 3)), (1, -1, F(1, 2))):
+        model = numeval._coefficient_model(RationalDescriptor((1,), den), prec)
+        with mp.workprec(2 * prec):
+            coefficients = [mpmath.mpf(F(c).numerator) / F(c).denominator for c in reversed(den)]
+            roots = mpmath.polyroots(coefficients, extraprec=2 * prec)
+            rest = [r for r in roots if abs(r - 1) > mpmath.mpf(2) ** (-prec)]
+            expected = 1 / min(abs(r) for r in rest) * (1 + mpmath.mpf(2) ** (-prec // 4))
+            assert abs(model.rest_ratio - expected) <= expected * mpmath.mpf(2) ** (-prec), den
