@@ -243,10 +243,7 @@ def run_eval(args, out) -> int:
         if args.method == "compare" and sum(1 for v in per_method.values() if isinstance(v, numeval.EvalResult)) < 2:
             raise ValueError("compare mode needs at least two applicable methods at s=%s" % s)
         rows.append((s, per_method))
-    if args.format == "csv":
-        _emit_eval_csv(rows, methods, digits, out, ctx)
-    else:
-        _emit_eval_json(rows, methods, digits, out, ctx)
+    _emit_eval(_eval_rows(rows, methods, digits, ctx), methods, args.format, out)
     return EXIT_OK
 
 
@@ -262,82 +259,45 @@ def _max_pairwise(per_method, prec):
         return worst
 
 
-def _emit_eval_csv(rows, methods, digits, out, ctx):
-    if len(methods) == 1:
-        print("s_re,s_im,value_re,value_im,method,tail_bound,flags", file=out)
-        for s, per in rows:
-            sre, sim = _re_im_strings(s, digits)
-            res = per.get(methods[0])
-            if isinstance(res, numeval.NearPoleError):
-                print("%s,%s,,,%s,,near-pole" % (sre, sim, methods[0]), file=out)
-                continue
-            vre, vim = _re_im_strings(res.value, digits)
-            print(
-                "%s,%s,%s,%s,%s,%s,%s"
-                % (sre, sim, vre, vim, res.method, _scalar_str(res.tail_bound, 6), "|".join(res.flags)),
-                file=out,
-            )
-        return
-    header = ["s_re", "s_im"]
-    for m_ in methods:
-        header += ["%s_re" % m_, "%s_im" % m_]
-    header.append("max_pairwise_deviation")
-    print(",".join(header), file=out)
-    for s, per in rows:
-        sre, sim = _re_im_strings(s, digits)
-        cells = [sre, sim]
-        for m_ in methods:
-            res = per.get(m_)
-            if isinstance(res, numeval.EvalResult):
-                vre, vim = _re_im_strings(res.value, digits)
-                cells += [vre, vim]
-            else:
-                cells += ["", ""]
-        dev = _max_pairwise(per, ctx.precision_bits)
-        cells.append(_scalar_str(dev, 6) if dev is not None else "")
-        print(",".join(cells), file=out)
-
-
-def _emit_eval_json(rows, methods, digits, out, ctx):
-    doc_rows = []
+def _eval_rows(rows, methods, digits, ctx):
+    """One report row per s point, keyed by column; a compare row has no
+    columns for the methods that did not apply, and a near-pole row keeps
+    its residue."""
+    out = []
     for s, per in rows:
         sre, sim = _re_im_strings(s, digits)
         row = {"s_re": sre, "s_im": sim}
         if len(methods) == 1:
             res = per.get(methods[0])
             if isinstance(res, numeval.NearPoleError):
-                row.update(
-                    {
-                        "value_re": "",
-                        "value_im": "",
-                        "method": methods[0],
-                        "tail_bound": "",
-                        "flags": "near-pole",
-                        "residue": _scalar_str(res.residue, digits) if res.residue is not None else "",
-                    }
-                )
+                row.update(value_re="", value_im="", method=methods[0], tail_bound="", flags="near-pole")
+                row["residue"] = _scalar_str(res.residue, digits) if res.residue is not None else ""
             else:
-                vre, vim = _re_im_strings(res.value, digits)
-                row.update(
-                    {
-                        "value_re": vre,
-                        "value_im": vim,
-                        "method": res.method,
-                        "tail_bound": _scalar_str(res.tail_bound, 6),
-                        "flags": "|".join(res.flags),
-                    }
-                )
+                row["value_re"], row["value_im"] = _re_im_strings(res.value, digits)
+                row.update(method=res.method, tail_bound=_scalar_str(res.tail_bound, 6), flags="|".join(res.flags))
         else:
             for m_ in methods:
                 res = per.get(m_)
                 if isinstance(res, numeval.EvalResult):
-                    vre, vim = _re_im_strings(res.value, digits)
-                    row["%s_re" % m_] = vre
-                    row["%s_im" % m_] = vim
+                    row["%s_re" % m_], row["%s_im" % m_] = _re_im_strings(res.value, digits)
             dev = _max_pairwise(per, ctx.precision_bits)
             row["max_pairwise_deviation"] = _scalar_str(dev, 6) if dev is not None else ""
-        doc_rows.append(row)
-    print(canonical_dumps({"command": "eval", "rows": doc_rows}), file=out)
+        out.append(row)
+    return out
+
+
+def _emit_eval(rows, methods, fmt, out):
+    if fmt != "csv":
+        print(canonical_dumps({"command": "eval", "rows": rows}), file=out)
+        return
+    if len(methods) == 1:
+        header = ["s_re", "s_im", "value_re", "value_im", "method", "tail_bound", "flags"]
+    else:
+        header = ["s_re", "s_im"] + ["%s_%s" % (m_, part) for m_ in methods for part in ("re", "im")]
+        header.append("max_pairwise_deviation")
+    print(",".join(header), file=out)
+    for row in rows:
+        print(",".join(row.get(col, "") for col in header), file=out)
 
 
 def run_catalog_selftest(args, out) -> int:

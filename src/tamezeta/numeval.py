@@ -339,7 +339,8 @@ def _hurwitz_em(sc, tc, eps, work, max_terms):
 
 @dataclass(frozen=True)
 class _CoeffModel:
-    """a_{n+1} = per-class polynomials (period m) + exponentially small rest."""
+    """a_{n+1} = g_n (the polynomial part, so n <= deg g) + per-class
+    polynomials (period m) + exponentially small rest."""
 
     period: int
     class_polys: tuple
@@ -348,6 +349,9 @@ class _CoeffModel:
     # rest_ratio bounds |r_j'| <= |r_j| rest_ratio^(j'-j) for every nonzero
     # rest coefficient r_j and j' > j, not only the decay rate
     ratio_per_term: bool = False
+    # the polynomial part of a rational alpha: a head of len(coeffs) terms
+    # covers it, and the classes and the rest describe the proper part
+    poly_part: Poly = Poly()
 
 
 def _lagrange_fit(xs, ys):
@@ -379,6 +383,10 @@ def _fit_quasi_polynomial(desc, period, degree_bound):
     return tuple(polys)
 
 
+def _descriptor_of(rf: RationalFn) -> RationalDescriptor:
+    return RationalDescriptor(tuple(rf.num.coeffs), tuple(rf.den.coeffs))
+
+
 def _partial_split(rf: RationalFn, orders: dict, rest: Poly):
     """Exact split num/den = A/cyclo + B/rest over the rationals."""
     cyclo = Poly([Fraction(1)])
@@ -401,6 +409,8 @@ def _partial_split(rf: RationalFn, orders: dict, rest: Poly):
 def _coefficient_model(desc, prec: int) -> _CoeffModel:
     rf = as_rational_fn(desc)
     if rf is not None:
+        g, num = poly_divmod(rf.num, rf.den)
+        proper = RationalFn(num, rf.den)
         orders, rest = _cyclotomic_factor_split(rf.den)
         period = 1
         degree_bound = 1
@@ -417,24 +427,27 @@ def _coefficient_model(desc, prec: int) -> _CoeffModel:
                 if min_mod <= 1:
                     raise NotTameError("non-cyclotomic denominator root inside the closed unit disk")
                 rest_ratio = +(1 / min_mod * (1 + mpmath.mpf(2) ** (-prec // 4)))
+        if rest.degree == 0:
+            # a constant denominator is an empty cyclotomic product
+            polys = _fit_quasi_polynomial(_descriptor_of(proper), period, degree_bound)
+            return _CoeffModel(period, polys, None, "quasi", poly_part=g)
         if not orders:
             # c/(1 - wz) is c w^n: its ratio holds from term to term
-            per_term = rest.degree == 1 and rf.num.degree == 0
-            return _CoeffModel(1, (Poly(),), rest_ratio, "geometric", per_term)
-        if rest.degree == 0:
-            polys = _fit_quasi_polynomial(desc, period, degree_bound)
-            return _CoeffModel(period, polys, None, "quasi")
-        cyclo_rf, rest_rf = _partial_split(rf, orders, rest)
-        cd = RationalDescriptor(tuple(cyclo_rf.num.coeffs), tuple(cyclo_rf.den.coeffs))
-        polys = _fit_quasi_polynomial(cd, period, degree_bound)
+            per_term = rest.degree == 1 and num.degree == 0
+            return _CoeffModel(1, (Poly(),), rest_ratio, "geometric", per_term, g)
+        cyclo_rf, rest_rf = _partial_split(proper, orders, rest)
+        polys = _fit_quasi_polynomial(_descriptor_of(cyclo_rf), period, degree_bound)
         per_term = rest.degree == 1 and rest_rf is not None and rest_rf.num.degree == 0
-        return _CoeffModel(period, polys, rest_ratio, "mixed", per_term)
+        return _CoeffModel(period, polys, rest_ratio, "mixed", per_term, g)
     if isinstance(desc, LerchDescriptor):
         with mp.workprec(prec):
             wc = as_mpc(desc.w, prec)
             if abs(wc) < 1 - mpmath.mpf(2) ** (-prec // 2):
                 ratio = +(abs(wc) * (1 + mpmath.mpf(2) ** (-prec // 2)))
                 return _CoeffModel(1, (Poly(),), ratio, "geometric", True)
+            if wc == 1:
+                # a_n = 1, as for the exact w = 1
+                return _CoeffModel(1, (Poly([Fraction(1)]),), None, "quasi")
         return _CoeffModel(1, (Poly(),), None, "oscillatory")
     if isinstance(desc, BuiltinDescriptor):
         if desc.name == "central-binomial":
@@ -516,6 +529,7 @@ def direct_sum(desc, s, t, ctx: ApproxContext) -> EvalResult:
 def _direct_attempt(desc, model, classes, sc, tc, plan, K, eps, work, ctx):
     m = model.period
     N, orders = plan
+    N = max(N, len(model.poly_part.coeffs))
     stream = coeffs(desc, N + 1, prec=work)
     head = mpmath.mpc(0)
     for n in range(N):
@@ -723,10 +737,12 @@ def oracle_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
             for i, g in enumerate(gamma.coeffs):
                 if g != 0:
                     pieces.append((r, i, g))
-        if not pieces:
-            return _result(mpmath.mpc(0), "hurwitz-oracle", 0, mpmath.mpf(0), ctx)
-        piece_eps = eps / (2 * len(pieces))
+        # the polynomial part is a finite sum
         acc = mpmath.mpc(0)
+        for n, g in enumerate(model.poly_part.coeffs):
+            if g != 0:
+                acc += as_mpc(g, work) * (tc + n) ** (-sc)
+        piece_eps = eps / (2 * max(1, len(pieces)))
         bound = mpmath.mpf(0)
         used = 0
         for r, i, g in pieces:
@@ -1093,10 +1109,14 @@ def _gamma_star_down(sc, z, nh, prec):
 
 
 def _exp_radius(desc, work):
-    """Distance from u=0 to the nearest singularity of alpha(e^(-u))."""
+    """Distance from u=0 to the nearest singularity of alpha(e^(-u)).  A
+    polynomial alpha has none, and any radius serves: it takes 2 pi."""
     with mp.workprec(work):
+        sings = singularities(desc, work)
+        if not sings:
+            return 2 * mpmath.pi
         best = mpmath.inf
-        for s_ in singularities(desc, work):
+        for s_ in sings:
             q = as_mpc(s_.value, work)
             base = -mpmath.log(q)
             for k in (-1, 0, 1):

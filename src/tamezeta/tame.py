@@ -3,9 +3,13 @@
 A descriptor is a symbolic recipe for a generating series alpha(z) =
 sum a_{n+1} z^n that is holomorphic in the unit disk with at most a pole at
 z=1.  This module extracts the Laurent data at z=1, locates the other
-singularities, chooses integer exponents that push each singularity out of
-the relevant polydisk, and assembles the product-form multi-power expansion
-of (-ln z)^nu * alpha(z) used by the difference-operator evaluator.
+singularities, and chooses integer exponents that push each singularity out
+of the relevant polydisk.  The product-form multi-power expansion of
+(-ln z)^nu * alpha(z) used by the difference-operator evaluator is
+assembled in one place from alpha's Mittag-Leffler decomposition: a regular
+part, the principal part at z=1, and the principal parts at the other
+poles, each pushed out by its exponent.  Each family supplies only that
+data, and the Laurent data of the non-rational families is read from it.
 
 Scalar policy: rational data stays exact (Fraction, or CycloNum for roots
 of unity); everything else is mpmath at an explicit precision, and callers
@@ -391,35 +395,6 @@ def _laurent_of_rational(rf: RationalFn, order: int) -> LaurentAtOne:
     return LaurentAtOne(nu, ks, phis)
 
 
-def _lerch_laurent_numeric(desc: LerchDescriptor, order: int, prec: int) -> LaurentAtOne:
-    with mp.workprec(prec):
-        w = as_mpc(desc.w, prec)
-        if abs(w) > 1 + mpmath.mpf(2) ** (-prec // 2):
-            raise NotTameError("Lerch factor needs |w| <= 1")
-        if w == 1:
-            return LaurentAtOne(1, (mpmath.mpf(-1),), tuple([mpmath.mpf(0)] * (order + 1)), "approx")
-        # 1/(1 - w(1+x)) = (1/(1-w)) * 1/(1 - wx/(1-w))
-        base = 1 / (1 - w)
-        ratio = w * base
-        phis, cur = [], base
-        for m_ in range(order + 1):
-            phis.append(cur * factorial(m_))
-            cur = cur * ratio
-        return LaurentAtOne(0, (), tuple(phis), "approx")
-
-
-def _zeta_even_regular_series(order: int, prec: int) -> list:
-    """Taylor coefficients (ordinary) of the regular part at z=1."""
-    with mp.workprec(prec):
-        out = []
-        for j in range(order + 1):
-            if j % 2 == 0:
-                out.append(mpmath.mpf(1) / 2)
-            else:
-                out.append(_zeta_even_coefficient(j + 1, prec) - mpmath.mpf(1) / 2)
-        return out
-
-
 def _central_binomial_alpha_series(z_series: TruncSeries, prec: int) -> TruncSeries:
     """alpha composed with a unit-constant series for z, via the closed form
 
@@ -530,33 +505,27 @@ def alpha_exp_arg_series(desc, order: int, prec: int) -> TruncSeries:
 def laurent_at_one(desc, order: int, prec: int | None = None) -> LaurentAtOne:
     """Laurent data of alpha at z=1: nu, k_1..k_nu, phi_0..phi_order.
 
-    Exact for rational descriptors over the rationals; builtins and
-    non-rational Lerch factors produce floating data at ``prec`` bits.
-    Raises :class:`NotTameError` when alpha has a singularity in the open
-    unit disk or on (0, 1].
+    Exact for rational descriptors over the rationals.  Builtins and
+    non-rational Lerch factors produce floating data at ``prec`` bits, read
+    from their Mittag-Leffler decomposition: phi_m is m! times the w^m
+    coefficient, w = z - 1, of the regular part plus the principal parts at
+    the other poles.  Raises :class:`NotTameError` when alpha has a
+    singularity in the open unit disk or on (0, 1].
     """
     p = prec if prec is not None else mp.prec
+    sings = singularities(desc, p)  # tameness screen
     rf = as_rational_fn(desc)
     if rf is not None:
-        singularities(desc, p)  # tameness screen
         return _laurent_of_rational(rf, order)
-    if isinstance(desc, LerchDescriptor):
-        return _lerch_laurent_numeric(desc, order, p)
-    if isinstance(desc, BuiltinDescriptor):
-        with mp.workprec(p):
-            if desc.name == "central-binomial":
-                w_series = TruncSeries(
-                    [mpmath.mpf(1), mpmath.mpf(1)] + [mpmath.mpf(0)] * order,
-                    order + 1,
-                    center=1,
-                )
-                alpha1 = _central_binomial_alpha_series(w_series, p)
-                phis = tuple(alpha1.coeffs[m] * factorial(m) for m in range(order + 1))
-                return LaurentAtOne(0, (), phis, "approx")
-            reg = _zeta_even_regular_series(order, p)
-            phis = tuple(reg[m] * factorial(m) for m in range(order + 1))
-            return LaurentAtOne(1, (as_mpf(Fraction(-1, 2), p),), phis, "approx")
-    raise TypeError("unknown descriptor %r" % (desc,))
+    with mp.workprec(p):
+        nu, ks, regular, poles = _mittag_leffler(desc, 0, sings, 1, order)
+        reg = list(regular[: order + 1]) + [mpmath.mpf(0)] * (order + 1 - len(regular))
+        for q, _e, cs in poles:
+            for r, c in enumerate(cs, 1):
+                # c/(z-q)^r at z = 1 + w
+                part = _inverse_power_series(q, r, order, _one_like(q))
+                reg = [x + c * y for x, y in zip(reg, part.coeffs)]
+        return LaurentAtOne(nu, ks, tuple(x * factorial(m) for m, x in enumerate(reg)), "approx")
 
 
 # ---------------------------------------------------------------------------
@@ -580,10 +549,6 @@ class SingularityPlan:
     singularities: tuple
     delta: Fraction
     field_order: int = 1  # lcm of root-of-unity orders involved (1 = plain Q)
-
-    @property
-    def evec(self) -> tuple:
-        return (1,) + tuple(s.e for s in self.singularities)
 
 
 def _cyclotomic_factor_split(den: Poly):
@@ -784,8 +749,9 @@ def _abs_one_minus_qe(sing: Singularity, e: int, prec: int):
         return abs(1 - q**e)
 
 
-def plan_exponents(desc, delta: Fraction = DEFAULT_MARGIN, prec: int | None = None) -> SingularityPlan:
-    """Choose the minimal exponent e_i per singularity with |1 - q^e| >= 1+delta.
+def plan_exponents(desc, prec: int | None = None) -> SingularityPlan:
+    """Choose the minimal exponent e_i per singularity with |1 - q^e| >= 1+delta,
+    delta = DEFAULT_MARGIN.
 
     The per-variable expansions around 1 then have convergence radius at
     least 1+delta, so evaluation anywhere on (0,1] (and the associated
@@ -793,7 +759,7 @@ def plan_exponents(desc, delta: Fraction = DEFAULT_MARGIN, prec: int | None = No
     """
     p = prec if prec is not None else mp.prec
     sings = singularities(desc, p)
-    threshold = 1 + Fraction(delta)
+    threshold = 1 + DEFAULT_MARGIN
     planned = []
     field_order = 1
     for s in sings:
@@ -808,7 +774,7 @@ def plan_exponents(desc, delta: Fraction = DEFAULT_MARGIN, prec: int | None = No
         planned.append(Singularity(s.value, s.multiplicity, s.exact, s.root_of_unity, e))
         if s.root_of_unity is not None:
             field_order = field_order * s.root_of_unity[1] // gcd(field_order, s.root_of_unity[1])
-    return SingularityPlan(tuple(planned), Fraction(delta), field_order)
+    return SingularityPlan(tuple(planned), DEFAULT_MARGIN, field_order)
 
 
 # ---------------------------------------------------------------------------
@@ -830,10 +796,8 @@ class MultiPowerExpansion:
     numeric caches key on it and its series terms are unhashable."""
 
     nu: int
-    evec: tuple
     terms: tuple
     order: int
-    delta: Fraction
     kind: str = "exact"
 
 
@@ -844,7 +808,7 @@ def _inverse_power_series(a, r: int, order: int, one_scalar) -> TruncSeries:
     """
     base = one_scalar / (1 - a) if not isinstance(a, CycloNum) else (1 - a).inverse()
     out = []
-    cur = base**r if not isinstance(base, CycloNum) else base**r
+    cur = base**r
     for j in range(order + 1):
         out.append(((-1) ** j * binomial(r - 1 + j, j)) * cur)
         cur = cur * base
@@ -947,27 +911,16 @@ def build_shifted_multipower(
     The index shift preserves the denominator (hence the singularity plan
     and nu) while moving the evaluation argument of the associated
     difference series from t to t+shift, which is what makes the operator
-    route fast at small t.
+    route fast at small t.  Every family is assembled by
+    :func:`_assemble` from the Mittag-Leffler data of alpha_shift at z=1.
     """
     p = prec if prec is not None else mp.prec
     if plan is None:
         plan = plan_exponents(desc, prec=p)
     _check_plan_radii(plan, p)
-    rf = as_rational_fn(desc)
-    if rf is not None:
-        if shift:
-            rf = shifted_rational(rf, coeffs(desc, shift), shift)
-        return _build_mp_rational(rf, plan, order)
-    if isinstance(desc, LerchDescriptor):
-        with mp.workprec(p):
-            w = as_mpc(desc.w, p)
-            scale = w**shift
-            mpx = _build_mp_lerch(w, plan, order, p)
-            terms = tuple(MPTerm(t.coeff * scale, t.factors) for t in mpx.terms)
-            return MultiPowerExpansion(mpx.nu, mpx.evec, terms, order, plan.delta, "approx")
-    if isinstance(desc, BuiltinDescriptor):
-        return _build_mp_builtin(desc, plan, order, p, shift)
-    raise TypeError("unknown descriptor %r" % (desc,))
+    with mp.workprec(p):
+        nu, ks, regular, poles = _mittag_leffler(desc, shift, plan.singularities, plan.field_order, order)
+        return _assemble(nu, ks, regular, poles, order)
 
 
 def _check_plan_radii(plan: SingularityPlan, prec: int) -> None:
@@ -982,110 +935,126 @@ def _check_plan_radii(plan: SingularityPlan, prec: int) -> None:
             )
 
 
-def _build_mp_rational(rf: RationalFn, plan: SingularityPlan, order: int) -> MultiPowerExpansion:
-    laur = _laurent_of_rational(rf, 0)
-    nu = laur.nu
+def _mittag_leffler(desc, shift: int, sings: tuple, field_order: int, order: int):
+    """Mittag-Leffler data at z=1 of alpha_shift = (alpha - a_1..a_shift)/z^shift.
+
+    Returns (nu, ks, regular, poles): the pole order nu and the principal
+    coefficients k_1..k_nu at z=1; the regular part as coefficients in
+    w = z-1, which is the polynomial part for rational data and a series to
+    order + nu otherwise; and (q, e, [c_1..c_mult]) for each singularity
+    of ``sings`` with a principal part sum_r c_r/(z-q)^r, e its planned
+    exponent.  Rational data stays exact over its field (mpc for a root
+    that is not); the other families are mpmath at the ambient precision.
+    """
+    qs = [_pole_value_in_field(sing, field_order, mp.prec) for sing in sings]
+    rf = as_rational_fn(desc)
+    if rf is not None:
+        if shift:
+            rf = shifted_rational(rf, coeffs(desc, shift), shift)
+        poles = [(q, s.e, _laurent_coeffs_at_pole(rf, q, s.multiplicity)) for q, s in zip(qs, sings)]
+        laur = _laurent_of_rational(rf, 0)
+        g = poly_divmod(rf.num, rf.den)[0]
+        return laur.nu, laur.ks, list(recenter(g, Fraction(1)).coeffs), poles
+    if isinstance(desc, LerchDescriptor):
+        # w^shift/(1 - w z): residue -q w^shift at q = 1/w, the pole at 1 when w = 1
+        w = as_mpc(desc.w)
+        if w == 1:
+            return 1, (mpmath.mpf(-1),), [], []
+        scale = w**shift
+        return 0, (), [scale] if w == 0 else [], [(q, s.e, [-q * scale]) for q, s in zip(qs, sings)]
+    if isinstance(desc, BuiltinDescriptor):
+        head = coeffs(desc, shift) if shift else []
+        if desc.name == "central-binomial":
+            # holomorphic at 1, and its singularity at 4 is a branch point:
+            # the regular part is all of alpha_shift
+            w_series = TruncSeries([mpmath.mpf(1)] * 2 + [mpmath.mpf(0)] * order, order + 1, center=1)
+            reg = _central_binomial_alpha_series(w_series, mp.prec).truncate(order)
+            if shift:
+                reg = _shift_series_at_one(reg, head, order)
+            return 0, (), list(reg.coeffs), []
+        return _zeta_even_data(shift, head, sings, order)
+    raise TypeError("unknown descriptor %r" % (desc,))
+
+
+def _zeta_even_data(shift: int, head: list, sings: tuple, order: int):
+    """Mittag-Leffler data of the shifted even-zeta series.
+
+    alpha(z) = k1/(z-1) + c2/(z-2) + g(z) with k1 = c2 = -1/2 and
+    g(1+w) = sum_n (zeta(2n)-1) w^(2n-1), holomorphic for |w| < 2; the
+    singularity analysis lists z=2, the only other pole the unit polydisk
+    margin reaches.  The shift keeps k1 and turns c2 into c2/2^shift.
+    """
+    half = -mpmath.mpf(1) / 2  # k1 = c2
+    n = order + 1
+    g = [mpmath.mpf(0)] * (n + 1)
+    for j in range(1, n + 1, 2):
+        g[j] = _zeta_even_coefficient(j + 1, mp.prec) - 1
+    reg = TruncSeries(g, n, center=1)
+    if shift:
+        # regular part of (alpha - head)/z^shift at 1+w: k1 (1+w)^(-shift)/w
+        # leaves k1 ((1+w)^(-shift) - 1)/w, c2 (1+w)^(-shift)/(w-1) leaves
+        # itself less c2 2^(-shift)/(w-1)
+        minv = _inverse_power_series(mpmath.mpf(0), shift, n + 1, mpmath.mpf(1))
+        pole2 = _inverse_power_series(mpmath.mpf(2), 1, n, mpmath.mpf(1)) * half
+        reg = (
+            _shift_series_at_one(reg + pole2, head, n)
+            + TruncSeries(minv.coeffs[1:], n, center=1) * half
+            - pole2 * mpmath.mpf(2) ** -shift
+        )
+    poles = [(as_mpf(s.value), s.e, [half / 2**shift]) for s in sings]
+    return 1, (half,), list(reg.coeffs), poles
+
+
+def _assemble(nu: int, ks: tuple, regular: list, poles: list, order: int) -> MultiPowerExpansion:
+    """Product-form expansion of (-ln z)^nu alpha(z) from its Mittag-Leffler
+    data at z=1 (see :func:`_mittag_leffler`).
+
+    With w = z-1 and L = (-ln z)/(1-z), (-ln z)^nu = (-1)^nu w^nu L^nu, so
+    the regular part R gives (-1)^nu w^nu L^nu R, the principal part
+    sum_r k_r w^(-r) gives (-1)^nu L^nu sum_r k_r w^(nu-r), and each
+    c/(z-q)^r is pushed out by its exponent e through
+    k_q(z) = (z^e - q^e)/(z-q): (-1)^nu c w^nu L^nu k_q^r (z^e - q^e)^(-r),
+    whose last factor is a series in z^e - 1 of radius |1 - q^e|.  Every
+    scalar keeps its kind (Fraction, CycloNum or mpmath); the expansion is
+    exact when all of them are.
+    """
     logfac = series_pow_log_factor(nu, order + nu)
+    sign = Fraction((-1) ** nu)
     terms = []
-    # polynomial part of the partial fraction decomposition
-    g, _rem = poly_divmod(rf.num, rf.den)
-    if not g.is_zero():
-        g1 = recenter(g, Fraction(1))
-        base = TruncSeries(list(g1.coeffs), order + nu, center=1) * logfac
-        series = TruncSeries(base.shift_mul(nu).coeffs[: order + 1], order, center=1)
-        terms.append(MPTerm(Fraction((-1) ** nu), ((1, series),)))
-    # principal part at z=1
+    if regular:
+        base = TruncSeries(regular, order + nu, center=1) * _lift_series(logfac, regular[0])
+        terms.append(MPTerm(sign, ((1, base.shift_mul(nu).truncate(order)),)))
     if nu:
-        pcoeffs = [Fraction(0)] * nu
-        for r in range(1, nu + 1):
-            pcoeffs[nu - r] = laur.ks[r - 1]
-        base = TruncSeries(pcoeffs + [Fraction(0)] * (order + 1), order + nu, center=1) * logfac
-        series = base.truncate(order)
-        terms.append(MPTerm(Fraction((-1) ** nu), ((1, series),)))
-    # other poles
-    kind = "exact"
-    field_order = plan.field_order
-    for sing in plan.singularities:
-        q = _pole_value_in_field(sing, field_order, mp.prec)
-        exact = not isinstance(q, mpmath.mpc)
-        if not exact:
-            kind = "approx"
-        cs = _laurent_coeffs_at_pole(rf, q, sing.multiplicity)
-        e = sing.e
-        qe = q**e
+        base = TruncSeries(ks[::-1], order + nu, center=1) * _lift_series(logfac, ks[-1])
+        terms.append(MPTerm(sign, ((1, base.truncate(order)),)))
+    for q, e, cs in poles:
         one = _one_like(q)
-        for r in range(1, sing.multiplicity + 1):
-            c = cs[r - 1]
+        kpoly = _k_factor_poly(q, e)
+        kpow = Poly([one])
+        for r, c in enumerate(cs, 1):
+            kpow = kpow * kpoly
             if c == 0:
                 continue
-            # z1 factor: (-1)^nu w^nu logfac^nu k_q(1+w)^r
-            kpoly = _k_factor_poly(q, e)
-            kpow = Poly([one])
-            for _ in range(r):
-                kpow = kpow * kpoly
-            k1 = recenter(kpow, one)
-            z1 = TruncSeries(list(k1.coeffs) + [0] * (order + nu + 1), order + nu, center=1)
+            z1 = TruncSeries(recenter(kpow, one).coeffs, order + nu, center=1)
             if nu:
-                z1 = z1 * _lift_series(logfac, q)
-                z1 = TruncSeries(z1.shift_mul(nu).coeffs[: order + 1], order, center=1)
-            else:
-                z1 = z1.truncate(order)
-            factors = [(1, z1)]
-            inv = _inverse_power_series(qe, r, order, one)
-            if e == 1:
-                merged = z1 * inv
-                factors = [(1, merged)]
-            else:
-                factors.append((e, inv))
-            terms.append(MPTerm(c * Fraction((-1) ** nu), tuple(factors)))
-    return MultiPowerExpansion(nu, plan.evec, tuple(terms), order, plan.delta, kind)
+                z1 = (z1 * _lift_series(logfac, q)).shift_mul(nu)
+            z1 = z1.truncate(order)
+            inv = _inverse_power_series(q**e, r, order, one)
+            factors = ((1, z1 * inv),) if e == 1 else ((1, z1), (e, inv))
+            terms.append(MPTerm(c * sign, factors))
+    scalars = [*ks, *regular, *(q for q, _e, _cs in poles)]
+    exact = all(isinstance(x, (int, Fraction, CycloNum)) for x in scalars)
+    return MultiPowerExpansion(nu, tuple(terms), order, "exact" if exact else "approx")
 
 
 def _lift_series(ts: TruncSeries, sample) -> TruncSeries:
+    """``ts``, whose coefficients are rational, over the scalars of ``sample``;
+    the reals serve an mpmath sample."""
     if isinstance(sample, CycloNum):
         return ts.map(lambda c: CycloNum.from_rational(sample.n, Fraction(c)) if not isinstance(c, CycloNum) else c)
-    if isinstance(sample, mpmath.mpc):
-        return ts.map(lambda c: as_mpc(c))
+    if isinstance(sample, (mpmath.mpf, mpmath.mpc)):
+        return ts.map(as_mpf)
     return ts
-
-
-def _build_mp_lerch(w, plan: SingularityPlan, order: int, prec: int) -> MultiPowerExpansion:
-    with mp.workprec(prec):
-        if not plan.singularities:
-            raise AssertionError("Lerch plan must carry its pole")
-        sing = plan.singularities[0]
-        q = 1 / w
-        e = sing.e
-        c = -q  # residue of 1/(1-wz) at z=q
-        one = mpmath.mpf(1)
-        kpoly = _k_factor_poly(q, e)
-        k1 = recenter(kpoly, mpmath.mpc(1))
-        z1 = TruncSeries(list(k1.coeffs) + [mpmath.mpc(0)] * (order + 1), order, center=1)
-        inv = _inverse_power_series(q**e, 1, order, one)
-        if e == 1:
-            factors = ((1, z1 * inv),)
-        else:
-            factors = ((1, z1), (e, inv))
-        return MultiPowerExpansion(0, plan.evec, (MPTerm(c, factors),), order, plan.delta, "approx")
-
-
-def _build_mp_builtin(
-    desc: BuiltinDescriptor, plan: SingularityPlan, order: int, prec: int, shift: int
-) -> MultiPowerExpansion:
-    with mp.workprec(prec):
-        if desc.name == "central-binomial":
-            w_series = TruncSeries(
-                [mpmath.mpf(1), mpmath.mpf(1)] + [mpmath.mpf(0)] * order,
-                order + 1,
-                center=1,
-            )
-            alpha1 = _central_binomial_alpha_series(w_series, prec).truncate(order)
-            if shift:
-                alpha1 = _shift_series_at_one(alpha1, coeffs(desc, shift), order)
-            return MultiPowerExpansion(
-                0, (1,), (MPTerm(mpmath.mpf(1), ((1, alpha1),)),), order, plan.delta, "approx"
-            )
-        return _build_mp_zeta_even(plan, order, prec, shift)
 
 
 def _shift_series_at_one(alpha1: TruncSeries, head: list, order: int) -> TruncSeries:
@@ -1096,67 +1065,6 @@ def _shift_series_at_one(alpha1: TruncSeries, head: list, order: int) -> TruncSe
     inv = _inverse_power_series(mpmath.mpf(0), m, order, mpmath.mpf(1))
     # (w + 1)^(-m) via the same binomial helper with a = 0
     return acc * inv
-
-
-def _build_mp_zeta_even(plan: SingularityPlan, order: int, prec: int, shift: int) -> MultiPowerExpansion:
-    """Terms for alpha(z) = -(pi cot(pi z) - 1/z)/2, pole order 1 at z=1.
-
-    Decomposition: k1/(z-1) + c2/(z-2) + g(z) with k1 = c2 = -1/2 and
-    g(1+w) = sum_n (zeta(2n)-1) w^(2n-1), holomorphic for |w| < 2.  The z=2
-    pole is pushed out with exponent e=2 via (z+2)/(z^2-4).
-    """
-    with mp.workprec(prec):
-        e2 = plan.singularities[0].e if plan.singularities else 2
-        k1 = mpmath.mpf(-1) / 2
-        c2 = mpmath.mpf(-1) / 2
-        nu = 1
-        # regular series g(1+w): odd coefficients zeta(2n) - 1
-        gcoeffs = [mpmath.mpf(0)] * (order + nu + 1)
-        n = 1
-        while 2 * n - 1 <= order + nu:
-            gcoeffs[2 * n - 1] = _zeta_even_coefficient(2 * n, prec) - 1
-            n += 1
-        head = coeffs(BuiltinDescriptor("zeta-even"), shift, prec) if shift else []
-        logfac = series_pow_log_factor(nu, order + nu).map(lambda c: as_mpf(c, prec))
-        if shift:
-            # alpha_m(1+w) = (alpha(1+w) - head(1+w)) (1+w)^(-m); split off the
-            # 1/w pole exactly: k1 (1+w)^(-m) / w = k1/w + k1 ((1+w)^(-m)-1)/w
-            minv = _inverse_power_series(mpmath.mpf(0), shift, order + nu + 1, mpmath.mpf(1))
-            reg = TruncSeries(gcoeffs, order + nu, center=1)
-            # regular part of alpha at 1 (minus the c2/(z-2) that we keep separate):
-            # full regular = g + c2-part regular; here rebuild from scratch:
-            c2reg = _inverse_power_series(mpmath.mpf(2), 1, order + nu, mpmath.mpf(1)) * c2
-            head1 = recenter(Poly([as_mpc(h, prec) for h in head]), mpmath.mpf(1))
-            head_s = TruncSeries(list(head1.coeffs) + [mpmath.mpc(0)] * (order + nu + 1), order + nu, center=1)
-            combined = (reg + c2reg - head_s) * minv.truncate(order + nu)
-            pole_extra = TruncSeries(list(minv.coeffs[1:]), order + nu, center=1) * k1
-            regular_total = combined + pole_extra
-            # subtract the (shifted) z=2 pole part to keep it as its own term
-            c2_m = c2 / mpmath.mpf(2) ** shift
-            c2reg_m = _inverse_power_series(mpmath.mpf(2), 1, order + nu, mpmath.mpf(1)) * c2_m
-            g_series = regular_total - c2reg_m
-            c2_use = c2_m
-        else:
-            g_series = TruncSeries(gcoeffs, order + nu, center=1)
-            c2_use = c2
-        terms = []
-        # A: (-ln z) k1/(z-1) = -k1 * logfac
-        terms.append(MPTerm(-k1, ((1, logfac.truncate(order)),)))
-        # C: (-ln z) g(z) = -(w logfac) g(1+w)
-        cz1 = (g_series * logfac).shift_mul(1).truncate(order)
-        terms.append(MPTerm(mpmath.mpf(-1), ((1, cz1),)))
-        # B: (-ln z) c2 k(z)/(z^e2 - 2^e2)
-        kpoly = _k_factor_poly(mpmath.mpf(2), e2)
-        k1p = recenter(kpoly, mpmath.mpf(1))
-        z1 = TruncSeries(list(k1p.coeffs) + [mpmath.mpf(0)] * (order + 2), order + nu, center=1)
-        z1 = (z1 * logfac).shift_mul(1).truncate(order)
-        inv = _inverse_power_series(mpmath.mpf(2) ** e2, 1, order, mpmath.mpf(1))
-        if e2 == 1:
-            factors = ((1, z1 * inv),)
-        else:
-            factors = ((1, z1), (e2, inv))
-        terms.append(MPTerm(-c2_use, factors))
-        return MultiPowerExpansion(nu, plan.evec, tuple(terms), order, plan.delta, "approx")
 
 
 def evaluate_multipower(mpx: MultiPowerExpansion, z, prec: int) -> mpmath.mpc:

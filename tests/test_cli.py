@@ -103,6 +103,46 @@ def test_eval_compare_mode():
     assert float(row["max_pairwise_deviation"]) < 1e-20
 
 
+def test_eval_csv_rows_match_json_rows():
+    # both formats carry the same rows: a near-pole row, and compare rows
+    # where one method does not apply (direct at s = -1)
+    cases = (
+        (
+            ["eval", "--catalog", "hurwitz", "--s", "1;2", "--t0", "1"],
+            "s_re,s_im,value_re,value_im,method,tail_bound,flags",
+            "1.0,0.0,,,hasse,,near-pole",
+        ),
+        (
+            ["eval", "--catalog", "eta", "--s", "2;-1", "--t0", "1", "--method", "compare"],
+            "s_re,s_im,hasse_re,hasse_im,oracle_re,oracle_im,direct_re,direct_im,"
+            "incgamma_re,incgamma_im,max_pairwise_deviation",
+            "-1.0,0.0,0.25,0.0,0.25,0.0,,,0.25,0.0,0.0",
+        ),
+    )
+    for flags, header, known_row in cases:
+        code, csv_out = _run(["--format", "csv"] + flags)
+        assert code == EXIT_OK
+        code, json_out = _run(flags)
+        assert code == EXIT_OK
+        lines = csv_out.strip().splitlines()
+        rows = json.loads(json_out)["rows"]
+        assert lines[0] == header
+        assert known_row in lines
+        assert len(lines) == len(rows) + 1
+        for line, row in zip(lines[1:], rows):
+            assert line == ",".join(row.get(col, "") for col in header.split(","))
+
+
+def test_eval_polynomial_alpha_compare_mode():
+    # alpha = 1 + 2z: D(3, 1) = 1 + 2/8 by every method that applies
+    code, out = _run(["eval", "--num", "1,2", "--den", "1", "--s", "3", "--t0", "1", "--method", "compare"])
+    assert code == EXIT_OK
+    row = json.loads(out)["rows"][0]
+    for method in ("hasse", "oracle", "direct", "incgamma"):
+        assert abs(float(row[method + "_re"]) - 1.25) < 1e-15, method
+    assert float(row["max_pairwise_deviation"]) < 1e-20
+
+
 def test_near_pole_row_flagged_exit_zero():
     code, out = _run(["eval", "--catalog", "hurwitz", "--s", "1", "--t0", "1"])
     assert code == EXIT_OK

@@ -445,7 +445,7 @@ def test_shift_accumulator_exactness():
                 coeffs = [F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(7)]
                 factors.append((e, TruncSeries(coeffs, 6, center=1)))
             terms.append(MPTerm(F(rng.randint(1, 4), rng.randint(1, 3)), tuple(factors)))
-        mpx = MultiPowerExpansion(0, (1,), tuple(terms), 6, F(1, 20), "exact")
+        mpx = MultiPowerExpansion(0, tuple(terms), 6, "exact")
         assert shift_weights(mpx, 6) == _brute_force_weights(mpx, 6)
         expansions.append(mpx)
     with mp.workprec(200):
@@ -851,3 +851,31 @@ def test_rest_ratio_is_the_nearest_rest_root():
             rest = [r for r in roots if abs(r - 1) > mpmath.mpf(2) ** (-prec)]
             expected = 1 / min(abs(r) for r in rest) * (1 + mpmath.mpf(2) ** (-prec // 4))
             assert abs(model.rest_ratio - expected) <= expected * mpmath.mpf(2) ** (-prec), den
+
+
+def test_alpha_with_a_polynomial_part():
+    # 1 + 2z: D(3, 1) = 1 + 2/8, a finite sum
+    poly = RationalDescriptor((1, 2), (1,))
+    for route in (direct_sum, oracle_eval, continue_dirichlet, incgamma_eval):
+        res = route(poly, 3, 1, CTX)
+        assert abs(res.mpc() - F(5, 4)) <= res.tail_bound + 1e-35, route.__name__
+        assert res.tail_bound <= CTX.target_eps
+    # 1 + z^7/(1 - z): D(3, 1) = 1 + zeta(3, 8), a polynomial part of degree 6
+    # over the proper 1/(1 - z)
+    shifted = RationalDescriptor((1, -1, 0, 0, 0, 0, 0, 1), (1, -1))
+    with mp.workprec(200):
+        exact = 1 + mpmath.zeta(3, 8)
+    ref = continue_dirichlet(shifted, 3, 1, CTX)
+    assert abs(ref.mpc() - exact) <= ref.tail_bound + 1e-35
+    for route in (direct_sum, oracle_eval):
+        res = route(shifted, 3, 1, CTX)
+        assert abs(res.mpc() - exact) <= res.tail_bound + 1e-35, route.__name__
+
+
+def test_inexact_lerch_at_one_is_hurwitz_zeta():
+    # w = 1 as an mpf: direct_sum models it as the exact w = 1 does, and the
+    # operator route assembles the pole at z = 1
+    ref = hurwitz_oracle(3, F(1, 2), CTX)
+    for route in (direct_sum, continue_dirichlet):
+        res = route(LerchDescriptor(mpmath.mpf(1)), 3, F(1, 2), CTX)
+        assert abs(res.mpc() - ref.mpc()) <= res.tail_bound + ref.tail_bound, route.__name__

@@ -201,11 +201,23 @@ def test_build_multipower_examples():
     assert coeffs_[0] * one.terms[0].coeff == 1 and all(c == 0 for c in coeffs_[1:])
 
 
+def _members_and_inexact_lerch():
+    """The catalog, and Lerch factors at an inexact w inside the unit
+    circle, on it and at 1."""
+    with mp.workprec(256):
+        e_i = mpmath.expj(1)
+    return default_members() + [
+        ("lerch-mpf-1/2", LerchDescriptor(mpmath.mpf(1) / 2)),
+        ("lerch-e^i", LerchDescriptor(e_i)),
+        ("lerch-mpf-1", LerchDescriptor(mpmath.mpf(1))),
+    ]
+
+
 def test_multipower_evaluation_matches_alpha():
     # catalog-wide: evaluation at lambda_e(z) reproduces (-ln z)^nu alpha(z)
     rng = random.Random(99)
     prec = 160
-    for label, desc in default_members():
+    for label, desc in _members_and_inexact_lerch():
         nu = laurent_at_one(desc, 2, prec=prec).nu
         mpx = build_multipower(desc, order=220, prec=prec)
         for _ in range(6):
@@ -240,7 +252,7 @@ def test_shifted_rational_exactness():
 def test_shifted_multipower_matches_shifted_alpha():
     prec = 160
     shift = 6
-    for label, desc in default_members():
+    for label, desc in _members_and_inexact_lerch():
         nu = laurent_at_one(desc, 2, prec=prec).nu
         mpx = build_shifted_multipower(desc, shift, order=160, prec=prec)
         with mp.workprec(prec):
