@@ -11,6 +11,11 @@ part, the principal part at z=1, and the principal parts at the other
 poles, each pushed out by its exponent.  Each family supplies only that
 data, and the Laurent data of the non-rational families is read from it.
 
+Rational data is expanded at z=1 and at each other pole by one routine,
+over the pole's own scalars.  The roots of the denominator's non-cyclotomic
+part come from ``mpmath.polyroots``; an irrational one carries mpc data and
+makes the expansion "approx".
+
 Scalar policy: rational data stays exact (Fraction, or CycloNum for roots
 of unity); everything else is mpmath at an explicit precision, and callers
 are expected to wrap floating computations in ``mp.workprec``.
@@ -371,28 +376,36 @@ class LaurentAtOne:
         return LaurentAtOne(self.nu, self.ks, tuple([Fraction(0)] * (n + 1)), self.kind)
 
 
-def _laurent_of_rational(rf: RationalFn, order: int) -> LaurentAtOne:
-    num1 = recenter(rf.num, Fraction(1))
-    den1 = recenter(rf.den, Fraction(1))
-    val_n = next((i for i, c in enumerate(num1.coeffs) if c != 0), None)
-    val_d = next((i for i, c in enumerate(den1.coeffs) if c != 0), None)
-    if val_n is None:
-        return LaurentAtOne(0, (), tuple([Fraction(0)] * (order + 1)))
-    nu = max(0, val_d - val_n)
-    m = order + nu
-    a = TruncSeries(list(num1.coeffs[val_n:]) + [Fraction(0)] * (m + 1), m, center=1)
-    b = TruncSeries(list(den1.coeffs[val_d:]) + [Fraction(0)] * (m + 1), m, center=1)
-    q = a / b  # alpha(1+w) = w^(-nu) * q(w) when val_d >= val_n
-    shift = val_d - val_n  # actual pole order before clamping
-    if shift < 0:
-        # zero of order -shift at z=1: regular part only
-        ks = ()
-        reg = [Fraction(0)] * (-shift) + list(q.coeffs)
-        phis = tuple(reg[m_] * factorial(m_) for m_ in range(order + 1))
-        return LaurentAtOne(0, (), phis)
-    ks = tuple(q.coeffs[shift - j] for j in range(1, shift + 1))  # k_1..k_nu
-    phis = tuple(q.coeffs[shift + m_] * factorial(m_) for m_ in range(order + 1))
-    return LaurentAtOne(nu, ks, phis)
+def _laurent_of_rational(rf: RationalFn, q, order: int, mult: int | None = None):
+    """Laurent expansion of rf at z = q over the scalars of q (Fraction,
+    CycloNum or mpc): (nu, (c_1..c_nu), [r_0..r_order]) with
+    rf(z) = sum_r c_r (z-q)^(-r) + sum_m r_m (z-q)^m, order >= -1.
+
+    The numerator and denominator are recentered at q and their series
+    divided.  At an exact q the orders of their zeros are read off the exact
+    coefficients, and the denominator's must equal ``mult`` when given.  At
+    an inexact q the denominator's low coefficients are rounding, not zeros:
+    its order is ``mult``, the squarefree multiplicity, and the numerator,
+    rf being in lowest terms, does not vanish there.
+    """
+    num = recenter(_lift(rf.num, q), q).coeffs
+    den = recenter(_lift(rf.den, q), q).coeffs
+    zero = _one_like(q) * 0
+    if isinstance(q, (mpmath.mpf, mpmath.mpc)):
+        val_n, val_d = 0, mult
+    else:
+        val_n = next((i for i, c in enumerate(num) if c != 0), None)
+        val_d = next(i for i, c in enumerate(den) if c != 0)
+        if mult is not None and val_d != mult:
+            raise AssertionError("pole multiplicity mismatch in partial fractions")
+        if val_n is None:
+            return 0, (), [zero] * (order + 1)
+    pole = val_d - val_n  # negative for a zero of rf at q
+    nu = max(0, pole)
+    m = max(0, order + nu)
+    h = TruncSeries(num[val_n:], m) / TruncSeries(den[val_d:], m)  # rf = (z-q)^(-pole) h
+    lau = [zero] * max(0, -pole) + list(h.coeffs[max(0, pole) :])
+    return nu, tuple(h.coeffs[pole - r] for r in range(1, nu + 1)), lau[: order + 1]
 
 
 def _central_binomial_alpha_series(z_series: TruncSeries, prec: int) -> TruncSeries:
@@ -516,7 +529,8 @@ def laurent_at_one(desc, order: int, prec: int | None = None) -> LaurentAtOne:
     sings = singularities(desc, p)  # tameness screen
     rf = as_rational_fn(desc)
     if rf is not None:
-        return _laurent_of_rational(rf, order)
+        nu, ks, reg = _laurent_of_rational(rf, Fraction(1), order)
+        return LaurentAtOne(nu, ks, tuple(x * factorial(m) for m, x in enumerate(reg)))
     with mp.workprec(p):
         nu, ks, regular, poles = _mittag_leffler(desc, 0, sings, 1, order)
         reg = list(regular[: order + 1]) + [mpmath.mpf(0)] * (order + 1 - len(regular))
@@ -592,48 +606,6 @@ def _squarefree_decomposition(f: Poly):
     return out
 
 
-def _aberth_roots(f: Poly, prec: int) -> list:
-    """All roots of a square-free rational polynomial, at ~prec bits."""
-    n = f.degree
-    with mp.workprec(2 * prec + 32):
-        cs = [as_mpc(c, 2 * prec + 32) for c in f.coeffs]
-        dcs = [k * cs[k] for k in range(1, n + 1)]
-
-        def ev(coeffs, x):
-            acc = mpmath.mpc(0)
-            for c in reversed(coeffs):
-                acc = acc * x + c
-            return acc
-
-        # start on a slightly irrational circle to avoid symmetry stalls
-        radius = 1 + mpmath.mpf(1) / 3
-        roots = [
-            radius * mpmath.exp(2j * mpmath.pi * (k + mpmath.mpf(1) / 7) / n) for k in range(n)
-        ]
-        tol = mpmath.mpf(2) ** (-(2 * prec))
-        for _ in range(200):
-            moved = mpmath.mpf(0)
-            new_roots = []
-            for i, r in enumerate(roots):
-                pv = ev(cs, r)
-                dv = ev(dcs, r)
-                if dv == 0:
-                    dv = tol
-                w = pv / dv
-                s = mpmath.mpc(0)
-                for j, rj in enumerate(roots):
-                    if j != i:
-                        s += 1 / (r - rj)
-                denom = 1 - w * s
-                step = w / denom if denom != 0 else w
-                new_roots.append(r - step)
-                moved = max(moved, abs(step))
-            roots = new_roots
-            if moved < tol:
-                break
-        return roots
-
-
 def _rational_snap(f: Poly, roots: list, prec: int):
     """Detect exact rational roots among numeric ones; return (exact, numeric)."""
     exact = []
@@ -706,7 +678,11 @@ def _rational_singularities(rf: RationalFn, prec: int) -> list:
         for factor, mult in _squarefree_decomposition(rest):
             if factor.degree == 0:
                 continue
-            roots = _aberth_roots(factor, prec)
+            with mp.workprec(2 * prec + 32):
+                try:
+                    roots = mpmath.polyroots([as_mpf(c) for c in reversed(factor.coeffs)], maxsteps=200)
+                except mp.NoConvergence as exc:
+                    raise NotTameError("cannot locate the singularities of alpha: %s" % exc) from exc
             exact, numeric = _rational_snap(factor, roots, prec)
             for q in exact:
                 _screen_singularity(as_mpc(q, prec), prec, exact=True)
@@ -828,42 +804,12 @@ def _pole_value_in_field(sing: Singularity, field_order: int, prec: int):
     return as_mpc(sing.value, prec)
 
 
-def _laurent_coeffs_at_pole(rf: RationalFn, q, mult: int):
-    """Principal coefficients c_{q,1}..c_{q,mult} of rf at a simple/multiple pole q.
-
-    Works over whatever exact field q lives in (Fraction or CycloNum).
-    """
-    den = rf.den
-    lin = Poly([-q, _one_like(q)])
-    rest = den
-    for _ in range(mult):
-        quot, rem = poly_divmod(_lift_poly(rest, q), lin)
-        if not rem.is_zero():
-            raise AssertionError("pole multiplicity mismatch in partial fractions")
-        rest = quot
-    # expand num/rest around z=q to order mult-1
-    num_q = recenter(_lift_poly(rf.num, q), q)
-    rest_q = recenter(rest, q)
-    m = mult - 1
-    a = TruncSeries(list(num_q.coeffs) + [0] * (m + 1), m, center=0)
-    b = TruncSeries(list(rest_q.coeffs) + [0] * (m + 1), m, center=0)
-    h = a / b
-    # c_{q,r} = coefficient of (z-q)^(mult-r)
-    return [h.coeffs[mult - r] for r in range(1, mult + 1)]
-
-
 def _one_like(x):
     if isinstance(x, CycloNum):
         return CycloNum.from_rational(x.n, 1)
     if isinstance(x, Fraction):
         return Fraction(1)
     return x * 0 + 1
-
-
-def _lift_poly(p: Poly, sample) -> Poly:
-    if isinstance(sample, CycloNum):
-        return p.map(lambda c: c if isinstance(c, CycloNum) else CycloNum.from_rational(sample.n, Fraction(c)))
-    return p
 
 
 def _k_factor_poly(q, e: int):
@@ -881,7 +827,8 @@ def build_multipower(
     """Product-form multi-power expansion of (-ln z)^nu * alpha(z) around 1.
 
     Rational descriptors produce exact coefficients (cyclotomic ones over
-    Q(zeta)); builtins and non-rational Lerch factors produce floating data.
+    Q(zeta)); builtins, non-rational Lerch factors and rational data with an
+    irrational pole produce floating data.
     """
     return build_shifted_multipower(desc, 0, plan=plan, order=order, prec=prec)
 
@@ -951,10 +898,10 @@ def _mittag_leffler(desc, shift: int, sings: tuple, field_order: int, order: int
     if rf is not None:
         if shift:
             rf = shifted_rational(rf, coeffs(desc, shift), shift)
-        poles = [(q, s.e, _laurent_coeffs_at_pole(rf, q, s.multiplicity)) for q, s in zip(qs, sings)]
-        laur = _laurent_of_rational(rf, 0)
+        poles = [(q, s.e, _laurent_of_rational(rf, q, -1, s.multiplicity)[1]) for q, s in zip(qs, sings)]
+        nu, ks, _ = _laurent_of_rational(rf, Fraction(1), -1)
         g = poly_divmod(rf.num, rf.den)[0]
-        return laur.nu, laur.ks, list(recenter(g, Fraction(1)).coeffs), poles
+        return nu, ks, list(recenter(g, Fraction(1)).coeffs), poles
     if isinstance(desc, LerchDescriptor):
         # w^shift/(1 - w z): residue -q w^shift at q = 1/w, the pole at 1 when w = 1
         w = as_mpc(desc.w)
@@ -1022,10 +969,10 @@ def _assemble(nu: int, ks: tuple, regular: list, poles: list, order: int) -> Mul
     sign = Fraction((-1) ** nu)
     terms = []
     if regular:
-        base = TruncSeries(regular, order + nu, center=1) * _lift_series(logfac, regular[0])
+        base = TruncSeries(regular, order + nu, center=1) * _lift(logfac, regular[0])
         terms.append(MPTerm(sign, ((1, base.shift_mul(nu).truncate(order)),)))
     if nu:
-        base = TruncSeries(ks[::-1], order + nu, center=1) * _lift_series(logfac, ks[-1])
+        base = TruncSeries(ks[::-1], order + nu, center=1) * _lift(logfac, ks[-1])
         terms.append(MPTerm(sign, ((1, base.truncate(order)),)))
     for q, e, cs in poles:
         one = _one_like(q)
@@ -1037,7 +984,7 @@ def _assemble(nu: int, ks: tuple, regular: list, poles: list, order: int) -> Mul
                 continue
             z1 = TruncSeries(recenter(kpow, one).coeffs, order + nu, center=1)
             if nu:
-                z1 = (z1 * _lift_series(logfac, q)).shift_mul(nu)
+                z1 = (z1 * _lift(logfac, q)).shift_mul(nu)
             z1 = z1.truncate(order)
             inv = _inverse_power_series(q**e, r, order, one)
             factors = ((1, z1 * inv),) if e == 1 else ((1, z1), (e, inv))
@@ -1047,14 +994,15 @@ def _assemble(nu: int, ks: tuple, regular: list, poles: list, order: int) -> Mul
     return MultiPowerExpansion(nu, tuple(terms), order, "exact" if exact else "approx")
 
 
-def _lift_series(ts: TruncSeries, sample) -> TruncSeries:
-    """``ts``, whose coefficients are rational, over the scalars of ``sample``;
-    the reals serve an mpmath sample."""
+def _lift(p, sample):
+    """``p``, a Poly or TruncSeries with rational coefficients, over the
+    scalars of ``sample``: CycloNum for a CycloNum, the mpmath reals at the
+    working precision for an mpf or mpc."""
     if isinstance(sample, CycloNum):
-        return ts.map(lambda c: CycloNum.from_rational(sample.n, Fraction(c)) if not isinstance(c, CycloNum) else c)
+        return p.map(lambda c: c if isinstance(c, CycloNum) else CycloNum.from_rational(sample.n, c))
     if isinstance(sample, (mpmath.mpf, mpmath.mpc)):
-        return ts.map(as_mpf)
-    return ts
+        return p.map(as_mpf)
+    return p
 
 
 def _shift_series_at_one(alpha1: TruncSeries, head: list, order: int) -> TruncSeries:

@@ -143,6 +143,33 @@ def test_eval_polynomial_alpha_compare_mode():
     assert float(row["max_pairwise_deviation"]) < 1e-20
 
 
+def test_eval_irrational_poles_compare_mode():
+    # alpha = 1/((1-z)(3-z^2)), poles at +-sqrt(3): the operator route carries
+    # mpc partial fractions and agrees with the direct sum
+    code, out = _run(["eval", "--num", "1", "--den", "3,-3,-1,1", "--s", "3", "--method", "compare"])
+    assert code == EXIT_OK
+    row = json.loads(out)["rows"][0]
+    assert "hasse_re" in row and "direct_re" in row
+    assert abs(float(row["hasse_re"]) - float(row["direct_re"])) < 1e-15
+    assert float(row["max_pairwise_deviation"]) < 1e-20
+
+
+def test_root_finder_failure_exit_two(monkeypatch, capsys):
+    import mpmath
+    from mpmath import mp
+
+    from tamezeta import tame
+
+    def fail(*args, **kwargs):
+        raise mp.NoConvergence("Didn't converge in maxsteps=200 steps.")
+
+    tame._singularities.cache_clear()
+    monkeypatch.setattr(mpmath, "polyroots", fail)
+    code, _ = _run(["analyze", "--num", "1", "--den", "5,-2,0,1", "--t0", "1"])
+    assert code == EXIT_INVALID
+    assert "cannot locate the singularities" in capsys.readouterr().err
+
+
 def test_near_pole_row_flagged_exit_zero():
     code, out = _run(["eval", "--catalog", "hurwitz", "--s", "1", "--t0", "1"])
     assert code == EXIT_OK

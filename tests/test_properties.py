@@ -8,9 +8,9 @@ from mpmath import mp
 from tamezeta.bernoulli import diff_apply_poly, todd_apply, todd_series
 from tamezeta.catalog import catalog_descriptor
 from tamezeta.continuation import analyze, analyze_split
-from tamezeta.numeval import continue_dirichlet, direct_sum, oracle_eval
+from tamezeta.numeval import continue_dirichlet, direct_sum, incgamma_eval, oracle_eval
 from tamezeta.reconstruct import ContinuationData, dirichlet_from_data, principal_from_poles
-from tamezeta.scalar import ApproxContext, agree_within
+from tamezeta.scalar import ApproxContext, agree_within, as_mpc
 from tamezeta.series import Poly
 from tamezeta.tame import (
     BarnesDescriptor,
@@ -38,6 +38,53 @@ def _random_tame_rational(rng):
         den = den * Poly([F(1), -1 / q])
     num = Poly([F(rng.randint(-4, 4)) for _ in range(rng.randint(1, 3))] + [F(1)])
     return RationalDescriptor(tuple(num.coeffs), tuple(den.coeffs))
+
+
+# z^2 - 3, z^3 - 2, z^3 - 2z + 5, z^2 + z + 3: irreducible over Q, every root
+# irrational, outside the unit disk and off (0, 1]
+IRRATIONAL_FACTORS = ((-3, 0, 1), (-2, 0, 0, 1), (5, -2, 0, 1), (3, 1, 1))
+
+
+def _random_irrational_tame_rational(rng, factor):
+    """Random alpha = N(z) / ((1-z)^j (1+z)^k f(z)), f = ``factor``, one of
+    IRRATIONAL_FACTORS."""
+    den = Poly([F(c) for c in factor])
+    for _ in range(rng.randint(0, 2)):
+        den = den * Poly([F(1), F(-1)])
+    for _ in range(rng.randint(0, 1)):
+        den = den * Poly([F(1), F(1)])
+    num = Poly([F(rng.randint(-4, 4)) for _ in range(rng.randint(0, 2))] + [F(1)])
+    return RationalDescriptor(tuple(num.coeffs), tuple(den.coeffs))
+
+
+def _within_bounds(a, b, bound, prec):
+    with mp.workprec(prec + 64):
+        a, b = as_mpc(a, prec + 64), as_mpc(b, prec + 64)
+        return abs(a - b) <= bound + mpmath.mpf(2) ** (2 - prec) * max(1, abs(a))
+
+
+def test_random_irrational_poles_agree_across_routes():
+    # continue_dirichlet carries the mpc partial fractions of irrational poles;
+    # it must stay within the reported bounds of the independent routes
+    rng = random.Random(2024)
+    prec = CTX.precision_bits
+    t = F(1, 2)
+    for factor in IRRATIONAL_FACTORS:
+        desc = _random_irrational_tame_rational(rng, factor)
+        nu = laurent_at_one(desc, 2).nu
+        points = (
+            mpmath.mpf(nu) + mpmath.mpf(rng.uniform(0.25, 2.5)),
+            mpmath.mpc(nu + rng.uniform(0.25, 2.5), rng.uniform(-4, 4)),
+        )
+        for s in points:
+            a = continue_dirichlet(desc, s, t, CTX)
+            for other in (direct_sum, incgamma_eval) if nu == 0 else (direct_sum,):
+                b = other(desc, s, t, CTX)
+                assert _within_bounds(a.mpc(), b.mpc(), a.tail_bound + b.tail_bound, prec), (desc, s, other)
+        special = analyze(desc, t, 2).special_values
+        for n in range(3):
+            a = continue_dirichlet(desc, -n, t, CTX)
+            assert _within_bounds(a.mpc(), special[n], a.tail_bound, prec), (desc, n)
 
 
 def test_random_rational_operator_identity():

@@ -292,3 +292,52 @@ def test_character_descriptor_validation():
         EhrhartDescriptor((F(2),), 1, 1)
     with pytest.raises(ValueError):
         BuiltinDescriptor("nope")
+
+
+def _principal_parts(desc, prec):
+    """(q, c_1..c_mult) at each singularity of a rational descriptor."""
+    from tamezeta.tame import _laurent_of_rational, singularities
+
+    rf = as_rational_fn(desc)
+    with mp.workprec(prec):
+        return [(s.value, _laurent_of_rational(rf, s.value, -1, s.multiplicity)[1]) for s in singularities(desc, prec)]
+
+
+def test_laurent_of_rational_at_simple_irrational_poles():
+    # 1/((1-z)(3-z^2)) = g(z)/(z-q) at q = +-sqrt(3), g(z) = -1/((1-z)(z+q))
+    prec = 256
+    parts = _principal_parts(RationalDescriptor((1,), (3, -3, -1, 1)), prec)
+    with mp.workprec(prec):
+        tol = mpmath.mpf(2) ** (16 - prec)
+        roots = sorted(mpmath.re(q) for q, _cs in parts)
+        assert len(roots) == 2 and all(abs(r - x) <= tol for r, x in zip(roots, (-mpmath.sqrt(3), mpmath.sqrt(3))))
+        for q, cs in parts:
+            assert len(cs) == 1
+            assert abs(cs[0] - (-1 / ((1 - q) * 2 * q))) <= tol
+
+
+def test_laurent_of_rational_at_double_irrational_pole():
+    # (1+z)/((1-z)(3-z^2)^2) = g(z)/(z-q)^2 at q = sqrt(3), g(z) = (1+z)/((1-z)(z+q)^2):
+    # c_2 = g(q), c_1 = g'(q) = g(q) (1/(1+q) + 1/(1-q) - 1/q)
+    prec = 256
+    parts = _principal_parts(RationalDescriptor((1, 1), (9, -9, -6, 6, 1, -1)), prec)
+    with mp.workprec(prec):
+        tol = mpmath.mpf(2) ** (16 - prec)
+        q, cs = max(parts, key=lambda part: mpmath.re(part[0]))
+        assert abs(q - mpmath.sqrt(3)) <= tol and len(cs) == 2
+        g = (1 + q) / ((1 - q) * (2 * q) ** 2)
+        assert abs(cs[1] - g) <= tol * max(1, abs(g))
+        dg = g * (1 / (1 + q) + 1 / (1 - q) - 1 / q)
+        assert abs(cs[0] - dg) <= tol * max(1, abs(dg))
+
+
+def test_laurent_of_rational_checks_exact_multiplicity():
+    from tamezeta.tame import _laurent_of_rational
+
+    simple = as_rational_fn(RationalDescriptor((1,), (2, -3, 1)))  # 1/((1-z)(2-z))
+    double = as_rational_fn(RationalDescriptor((1,), (4, -4, 1)))  # 1/(2-z)^2
+    assert _laurent_of_rational(simple, F(2), -1, 1)[1] == (F(1),)
+    assert _laurent_of_rational(double, F(2), -1, 2)[1] == (F(0), F(1))
+    for rf, mult in ((simple, 2), (double, 1), (double, 3)):
+        with pytest.raises(AssertionError, match="multiplicity mismatch"):
+            _laurent_of_rational(rf, F(2), -1, mult)
