@@ -270,11 +270,16 @@ def _eval_rows(rows, methods, digits, ctx):
         if len(methods) == 1:
             res = per.get(methods[0])
             if isinstance(res, numeval.NearPoleError):
-                row.update(value_re="", value_im="", method=methods[0], tail_bound="", flags="near-pole")
+                row.update(value_re="", value_im="", method=methods[0], tail_bound="", bound_kind="", flags="near-pole")
                 row["residue"] = _scalar_str(res.residue, digits) if res.residue is not None else ""
             else:
                 row["value_re"], row["value_im"] = _re_im_strings(res.value, digits)
-                row.update(method=res.method, tail_bound=_scalar_str(res.tail_bound, 6), flags="|".join(res.flags))
+                row.update(
+                    method=res.method,
+                    tail_bound=_scalar_str(res.tail_bound, 6),
+                    bound_kind=res.bound_kind,
+                    flags="|".join(res.flags),
+                )
         else:
             for m_ in methods:
                 res = per.get(m_)
@@ -291,7 +296,7 @@ def _emit_eval(rows, methods, fmt, out):
         print(canonical_dumps({"command": "eval", "rows": rows}), file=out)
         return
     if len(methods) == 1:
-        header = ["s_re", "s_im", "value_re", "value_im", "method", "tail_bound", "flags"]
+        header = ["s_re", "s_im", "value_re", "value_im", "method", "tail_bound", "bound_kind", "flags"]
     else:
         header = ["s_re", "s_im"] + ["%s_%s" % (m_, part) for m_ in methods for part in ("re", "im")]
         header.append("max_pairwise_deviation")

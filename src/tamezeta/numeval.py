@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+import cmath
 import math
 from math import factorial, gcd
 
@@ -101,6 +102,9 @@ class EvalResult:
     tail_bound: object
     flags: tuple = ()
     exact_value: object = None  # set when the evaluation terminated exactly
+    # "certified": tail_bound bounds the error; "estimated": it only
+    # estimates it (incgamma's quadrature error is a level difference)
+    bound_kind: str = "certified"
 
     def mpc(self) -> mpmath.mpc:
         return self.value.to_mpc()
@@ -111,7 +115,7 @@ def _eps_bits(ctx: ApproxContext) -> int:
         return int(-mpmath.log(mpmath.mpf(ctx.target_eps), 2)) + 1
 
 
-def _result(value, method, truncation, tail, ctx, flags=(), exact=None) -> EvalResult:
+def _result(value, method, truncation, tail, ctx, flags=(), exact=None, kind="certified") -> EvalResult:
     return EvalResult(
         BigComplex(value, prec=ctx.precision_bits),
         method,
@@ -119,6 +123,7 @@ def _result(value, method, truncation, tail, ctx, flags=(), exact=None) -> EvalR
         tail,
         tuple(flags),
         exact,
+        kind,
     )
 
 
@@ -768,49 +773,261 @@ def shift_weights(mpx: MultiPowerExpansion, order: int, prec: int | None = None)
     sum_sigma W_sigma E^sigma.
 
     Exact weights (Fraction or CycloNum) when ``prec`` is None; otherwise
-    mpc weights at ``prec`` bits, which is cancellation-safe when ``prec``
-    exceeds the target precision by ~order bits.  Zero weights are dropped.
-    :func:`hasse_eval` caches its tables per expansion, rung (order) and
-    64-bit precision class, so nearby working precisions share one table."""
+    mpc weights at ``prec`` bits.  Zero weights are dropped."""
+    return _shift_weight_rungs(mpx, (order,), prec)[0]
+
+
+def _shift_weight_rungs(mpx: MultiPowerExpansion, orders, prec) -> list:
+    """The shift weights at each truncation order of ``orders`` (ascending),
+    from one pass: each factor's weights are accumulated once, up to the
+    last order, and read off at the others.  Each table is the one
+    :func:`shift_weights` gives at its order, bit for bit."""
     scalar = (lambda c: c) if prec is None else (lambda c: as_mpc(c, prec))
     with mp.workprec(prec if prec is not None else mp.prec):
-        total: dict = {}
+        totals: list = [{} for _ in orders]
         for term in mpx.terms:
-            weights = {0: 1}
+            per_factor = []  # per factor, its weights at each order
             for e, series in term.factors:
                 fac_w: dict = {}
-                for m_ in range(min(order, series.order) + 1):
-                    b = scalar(series.coeffs[m_])
-                    if b == 0:
-                        continue
-                    for a_ in range(m_ + 1):
-                        key = e * a_
-                        fac_w[key] = fac_w.get(key, 0) + b * ((-1) ** (m_ - a_) * binomial(m_, a_))
-                new: dict = {}
-                for k1, w1 in weights.items():
-                    for k2, w2 in fac_w.items():
-                        new[k1 + k2] = new.get(k1 + k2, 0) + w1 * w2
-                weights = new
+                snapshots = []
+                done = 0
+                for order in orders:
+                    for m_ in range(done, min(order, series.order) + 1):
+                        b = scalar(series.coeffs[m_])
+                        if b == 0:
+                            continue
+                        for a_ in range(m_ + 1):
+                            key = e * a_
+                            fac_w[key] = fac_w.get(key, 0) + b * ((-1) ** (m_ - a_) * binomial(m_, a_))
+                    done = max(done, min(order, series.order) + 1)
+                    snapshots.append(dict(fac_w))
+                per_factor.append(snapshots)
             c = scalar(term.coeff)
-            for k, w in weights.items():
-                total[k] = total.get(k, 0) + c * w
-    out = {}
-    for k, v in total.items():
-        if isinstance(v, CycloNum) and v.is_rational():
-            v = v.to_fraction()
-        if v != 0:
-            out[k] = v
+            for i, total in enumerate(totals):
+                weights = {0: 1}
+                for snapshots in per_factor:
+                    new: dict = {}
+                    for k1, w1 in weights.items():
+                        for k2, w2 in snapshots[i].items():
+                            new[k1 + k2] = new.get(k1 + k2, 0) + w1 * w2
+                    weights = new
+                for k, w in weights.items():
+                    total[k] = total.get(k, 0) + c * w
+    out = []
+    for total in totals:
+        table = {}
+        for k, v in total.items():
+            if isinstance(v, CycloNum) and v.is_rational():
+                v = v.to_fraction()
+            if v != 0:
+                table[k] = v
+        out.append(table)
     return out
 
 
-# keyed by expansion identity, truncation order and precision class
-_cached_weights = lru_cache(maxsize=64)(shift_weights)
+def _rungs(mpx: MultiPowerExpansion) -> tuple:
+    """The truncation orders the operator series is planned over."""
+    return tuple(M for M in (32, 64, 128, 256, 512) if M < mpx.order) + (mpx.order,)
+
+
+@lru_cache(maxsize=64)
+def _weight_tables(mpx: MultiPowerExpansion, prec) -> dict:
+    """The weight tables of one expansion at ``prec`` bits (None: exact), by
+    truncation order; :func:`_cached_weights` fills it."""
+    return {}
+
+
+def _cached_weights(mpx: MultiPowerExpansion, order: int, prec) -> dict:
+    """The shift weights of ``mpx`` at ``order`` and ``prec``, cached per
+    expansion, order and precision.  A missing rung of :func:`_rungs` is
+    built in one pass with every missing rung below it, so the warm-up of
+    one deep point leaves the tables of the shallower points behind."""
+    tables = _weight_tables(mpx, prec)
+    if order not in tables:
+        orders = [order]
+        if order in _rungs(mpx):
+            orders = [M for M in _rungs(mpx) if M < order and M not in tables] + orders
+        tables.update(zip(orders, _shift_weight_rungs(mpx, orders, prec)))
+    return tables[order]
+
+
+@lru_cache(maxsize=64)
+def _table_sizes(mpx: MultiPowerExpansion, order: int, prec: int) -> tuple:
+    """The shifts of a cached mpc weight table in ascending order, and
+    log2 |W_sigma| for each, as floats."""
+    weights = _weight_tables(mpx, prec)[order]
+    sigmas = tuple(sorted(weights))
+    with mp.workprec(64):
+        return sigmas, tuple(float(mpmath.log(abs(weights[k]), 2)) for k in sigmas)
 
 
 def _precision_class(bits: int) -> int:
     """Bits of the cached mpc weight table that serves ``bits`` working bits:
     the next multiple of 64, at least the bits the caller's bounds assume."""
     return -(-bits // 64) * 64
+
+
+# ---------------------------------------------------------------------------
+# a-priori truncation bound of the operator series
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class _TailPlan:
+    """Float majorants of one expansion's operator series.
+
+    ``pieces`` holds, per rung M, the terms the truncation at M leaves out,
+    as (e, Q_0..Q_K, E) with K = mpx.order: the indices i with |i| = n of
+    the pieces with largest exponent e carry coefficients of total size at
+    most Q_n for n <= K, and at most E (n/K)^grow past K.  A term with
+    factors j = 1..k leaves out, for each j, the indices with i_j > M and
+    i_l <= M for l > j; their |b| products are the convolution of the
+    factors 1..j, with factor j past M only, times sum_{i<=M} |b_li| for each
+    l > j, whose operator factors are at most 1; the largest exponent among
+    1..j is e.  ``log2_size`` holds, per rung, log2 of
+    sum_terms |c| prod_j sum_{m<=M} |b_jm| 2^m, which bounds the sum over
+    sigma of the absolute contributions to the weights W_sigma."""
+
+    rungs: tuple
+    pieces: tuple
+    log2_size: tuple
+    grow: int
+    order: int
+    terms: int
+    span: int  # the largest shift per unit of order: max over terms of sum_j e_j
+
+
+# the majorants need magnitudes only; at 256 bits the cancellation among the
+# coordinates of a cyclotomic coefficient stays far below what the bound sees
+_MAJORANT_BITS = 256
+
+
+def _log2(x: float) -> float:
+    return math.log2(x) if x > 0 else -math.inf
+
+
+def _log2_sum(logs) -> float:
+    top = max(logs, default=-math.inf)
+    if top == -math.inf:
+        return top
+    return top + math.log2(sum(2.0 ** (x - top) for x in logs))
+
+
+def _convolve(p: list, b: list, K: int) -> list:
+    q = [0.0] * (K + 1)
+    for i, x in enumerate(p):
+        if x:
+            for j, y in enumerate(b[: K + 1 - i]):
+                q[i + j] += x * y
+    return q
+
+
+@lru_cache(maxsize=32)
+def _tail_plan(mpx: MultiPowerExpansion) -> _TailPlan:
+    K = mpx.order
+    rungs = _rungs(mpx)
+    pieces: list = [{} for _ in rungs]  # per rung, e -> Q
+    size_logs: list = [[] for _ in rungs]
+    with mp.workprec(_MAJORANT_BITS):
+        for term in mpx.terms:
+            c = float(abs(as_mpc(term.coeff, _MAJORANT_BITS)))
+            factors = []
+            for e, series in term.factors:
+                b = [float(abs(as_mpc(x, _MAJORANT_BITS))) for x in series.coeffs[: K + 1]]
+                factors.append((e, b + [0.0] * (K + 1 - len(b))))
+            # |c| times the |b| product of the factors before j
+            prefixes = [[c] + [0.0] * K]
+            for _, b in factors[:-1]:
+                prefixes.append(_convolve(prefixes[-1], b, K))
+            for r, M in enumerate(rungs):
+                sizes = (sum(y * 2.0**m for m, y in enumerate(b[: M + 1])) for _, b in factors)
+                size_logs[r].append(_log2(c) + sum(_log2(x) for x in sizes))
+                e_max = 1
+                for j, (e, b) in enumerate(factors):
+                    e_max = max(e_max, e)
+                    scale = math.prod(sum(later[: M + 1]) for _, later in factors[j + 1 :])
+                    q = _convolve(prefixes[j], [0.0] * (M + 1) + b[M + 1 :], K)
+                    acc = pieces[r].setdefault(e_max, [0.0] * (K + 1))
+                    for n, x in enumerate(q):
+                        acc[n] += x * scale
+    out = []
+    for by_e in pieces:
+        # past K the coefficients are taken to stay below twice the largest
+        # of the last half, times (n/K)^grow (see hasse_eval)
+        out.append(tuple((e, tuple(Q), 2 * max(Q[K // 2 + 1 :], default=0.0)) for e, Q in sorted(by_e.items())))
+    span = max((sum(e for e, _ in term.factors) for term in mpx.terms), default=1)
+    return _TailPlan(rungs, tuple(out), tuple(_log2_sum(x) for x in size_logs), mpx.nu + 1, K, len(mpx.terms), span)
+
+
+def _truncation_log2_bounds(plan: _TailPlan, s: complex, t: complex) -> list:
+    """log2 of a bound on the operator terms left out at each rung, at the
+    point s (the operator's argument) and t, in floats.
+
+    A left-out piece with largest exponent e and index total n is bounded,
+    through the Laplace-Mellin form of Delta^i t^(-s) and v = e^(-e x), by
+    its |b| products times |Gamma(s)|^(-1) I(n),
+    I(n) = e^(-sigma) int_0^1 (-ln v)^(sigma-1) v^(T/e-1) (1-v)^n dv, where
+    sigma = Re s and T = Re t.  Each case below gives I(n) <= P F B(a, n+beta):
+    for sigma <= 1, -ln v >= 2(1-v)/(1+v) gives a = T/e, beta = sigma,
+    P = e^(-sigma) 2^(sigma-1) and F = sum_j C(k, j) B(a+j, n+sigma) /
+    B(a, n+sigma), k = ceil(1-sigma), which decreases in n and is taken at
+    the rung's first index; for 1 < sigma < T/e + 1, -ln v <= (1-v)/sqrt(v)
+    gives a = T/e - (sigma-1)/2, beta = sigma, P = e^(-sigma), F = 1; further
+    right, (-ln v)^(sigma-1) <= ((sigma-1)/(alpha e))^(sigma-1) v^(-alpha)
+    with alpha = T/(2e) gives a = T/(2e), beta = 1 and P = e^(-sigma) times
+    that constant.  Past the expansion's order K, Q_n <= E (n/K)^grow and
+    B(a, b) <= Gamma(a) (b-1)^(-a) sum to P F E Gamma(a) c^(-a)
+    K^(1-a)/(a-grow-1), with c = min(1, 1 + (beta-1)/(K+1)).  A rung whose
+    bound needs more decay than T gives (a <= grow+1, or an index n with
+    n + beta <= 0) gets +inf."""
+    sr = s.real
+    K = plan.order
+    ln2 = math.log(2)
+    with mp.workprec(53):
+        log2_rg = -float(mpmath.re(mpmath.loggamma(mpmath.mpc(s)))) / ln2
+    k = 0 if sr > 1 else math.ceil(1 - sr)
+    lo = plan.rungs[0] + 1
+    per_e = {}  # e -> (a, beta, log2 P, log2 B(a, lo+beta), B(a, n+beta)/B(a, lo+beta) for lo <= n <= K)
+    out = []
+    for M, pieces in zip(plan.rungs, plan.pieces):
+        logs = []
+        for e, Q, E in pieces:
+            if e not in per_e:
+                if sr <= 1:
+                    a, beta, log2_p = t.real / e, sr, -sr * math.log2(e) + sr - 1
+                elif sr - 1 < t.real / e:
+                    a, beta, log2_p = t.real / e - (sr - 1) / 2, sr, -sr * math.log2(e)
+                else:
+                    alpha = t.real / (2 * e)
+                    a, beta = alpha, 1.0
+                    log2_p = -sr * math.log2(e) + (sr - 1) * math.log2((sr - 1) / (alpha * math.e))
+                if a <= 0 or lo + beta <= 0 or (E > 0 and (a <= plan.grow + 1 or K + beta <= 0)):
+                    return [math.inf] * len(plan.rungs)
+                r, seq = 1.0, []
+                for n in range(lo, K + 1):
+                    seq.append(r)
+                    r *= (n + beta) / (a + n + beta)
+                log2_b0 = (math.lgamma(a) + math.lgamma(lo + beta) - math.lgamma(a + lo + beta)) / ln2
+                per_e[e] = (a, beta, log2_p, log2_b0, seq)
+            a, beta, log2_p, log2_b0, seq = per_e[e]
+            part = sum(Q[n] * seq[n - lo] for n in range(M + 1, K + 1))
+            if part > 0:
+                logs.append(log2_p + _log2_beta_factor(k, a, M + 1 + beta) + log2_b0 + math.log2(part))
+            if E > 0:
+                c = min(1.0, 1 + (beta - 1) / (K + 1))
+                tail = math.lgamma(a) - a * math.log(c) + (1 - a) * math.log(K) - math.log(a - plan.grow - 1)
+                logs.append(log2_p + _log2_beta_factor(k, a, K + 1 + beta) + math.log2(E) + tail / ln2)
+        out.append(log2_rg + _log2_sum(logs))
+    return out
+
+
+def _log2_beta_factor(k: int, a: float, b: float) -> float:
+    """log2 of sum_j C(k, j) B(a+j, b)/B(a, b) = sum_j C(k, j) prod_{l<j} (a+l)/(a+b+l)."""
+    total, ratio = 1.0, 1.0
+    for j in range(1, k + 1):
+        ratio *= (a + j - 1) / (a + b + j - 1)
+        total += math.comb(k, j) * ratio
+    return math.log2(total)
 
 
 def _as_exact_int(s):
@@ -841,15 +1058,28 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     rational t give an exact Fraction; otherwise the weights and the sum are
     mpc at max(order, n) + 64 guard bits, raised once if the terms cancel
     beyond them, and the value keeps an absolute 2^-precision_bits, since a
-    caller may cancel it against a head as large.  Otherwise the operator
-    polynomials are converted per variable into a shift accumulator with
-    binomial weights, summed over shifts in ascending order at elevated
-    precision, and the truncation order is doubled until two successive
-    estimates agree within eps; stagnation raises
-    :class:`SlowConvergenceError`.  Weight tables are cached per expansion,
-    rung and 64-bit precision class, while each sum runs at the point's own
-    working precision, so the bits a point near a pole adds seldom cost a
-    new table.
+    caller may cancel it against a head as large.
+
+    Otherwise one truncation order M is planned before any power is taken.
+    The Laplace-Mellin form Delta^i t^(-s) = Gamma(s)^(-1) int_0^oo x^(s-1)
+    e^(-tx) prod_j (e^(-e_j x) - 1)^(i_j) dx, which converges left of the
+    axis too once |i| > -Re s, bounds every term a rung leaves out through
+    the sizes of the expansion's coefficients (:func:`_tail_plan`,
+    :func:`_truncation_log2_bounds`); the first of 32, 64, ..., mpx.order
+    whose bound is at most eps/2 is summed, one power per weight, in
+    ascending sigma.  The sum runs at log2 sum_sigma |W_sigma (t+sigma)^(-s)|
+    (a float estimate) plus the bits of eps; the weights are kept at one
+    precision per expansion and eps bits, enough for every rung and for
+    powers up to 2^128 (a larger 64-bit class only where a point's powers
+    outgrow it), so that every table a point reads was built by the deepest
+    point before it, and :func:`_cached_weights` builds all rungs up to a
+    missing one in one pass.  The reported bound is the truncation bound
+    plus the rounding of the weights and of the sum, and the value keeps an
+    absolute 2^-precision_bits.  The coefficients up to mpx.order enter the
+    bound exactly; past it they are taken to stay below twice the largest of
+    its last half times (n/order)^(nu+1), which covers the growth the
+    (-ln z)^nu factor allows and the geometric decay of the pole factors.
+    When no rung meets eps, :class:`SlowConvergenceError` is raised.
 
     H(s, t) is the entire continuation of s(s+1)...(s+nu-1) D(s+nu, t).
     """
@@ -894,39 +1124,55 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
             guard += int(mpmath.mag(bound / eps)) + 2
         raise SlowConvergenceError("operator sum at s = -%d cancels beyond its guard bits" % n)
     eps_b = _eps_bits(ctx)
-    eps = mpmath.mpf(ctx.target_eps)
-    ladder = [M for M in (32, 64, 128, 256, 512) if M < mpx.order] + [mpx.order]
-    prev = None
-    prev_diff = None
-    history = []
-    for M in ladder:
-        work = ctx.working_bits(eps_b + M + 64)
-        weights = _cached_weights(mpx, M, _precision_class(work))
-        with mp.workprec(work):
-            sc = as_mpc(s, work)
-            tc = as_mpc(t, work)
-            val = mpmath.mpc(0)
-            for sigma in sorted(weights):
-                val += weights[sigma] * (tc + sigma) ** (-sc)
-            history.append((M, val))
-            if prev is not None:
-                diff = abs(val - prev)
-                scale = max(mpmath.mpf(1), abs(val))
-                # accept immediately on decisive agreement; near the
-                # tolerance also require the inter-order differences to be
-                # decaying (the observed ratio standing in for a tail bound)
-                decisive = diff <= eps / 16 * scale
-                decaying = prev_diff is not None and diff <= prev_diff and diff <= eps / 4 * scale
-                if decisive or decaying:
-                    return _result(val, "hasse", M, diff, ctx)
-                prev_diff = diff
-            prev = val
-    with mp.workprec(ctx.working_bits(eps_b + 64)):
-        last = float(abs(history[-1][1] - history[-2][1])) if len(history) > 1 else None
-    raise SlowConvergenceError(
-        "operator series did not stabilize by order %d" % ladder[-1],
-        {"orders": [h[0] for h in history], "last_diff": last},
-    )
+    plan = _tail_plan(mpx)
+    with mp.workprec(64):
+        s0, t0 = complex(as_mpc(s, 64)), complex(as_mpc(t, 64))
+    log2_trunc = _truncation_log2_bounds(plan, s0, t0)
+    # the truncation takes half of eps, each rounding at most a sixteenth
+    pick = next((i for i, b in enumerate(log2_trunc) if b <= -eps_b - 1), None)
+    if pick is None:
+        raise SlowConvergenceError(
+            "operator series does not reach eps by order %d" % mpx.order,
+            {"orders": plan.rungs, "log2_bounds": log2_trunc},
+        )
+    M = plan.rungs[pick]
+    # the weights: their absolute contributions sum to at most 2^log2_v and
+    # meet powers of at most 2^log2_pow, each power monotone in the shift
+    log2_v = plan.log2_size[pick]
+    log2_pow = max(_log2_abs_pow(s0, t0, 0), _log2_abs_pow(s0, t0, M * plan.span))
+    count_w = 4 * (M + 1) * (1 + plan.terms)
+    weight_bits = _precision_class(eps_b + math.ceil(max(plan.log2_size[-1], 0.0)) + 128)
+    need = eps_b + 4 + math.log2(count_w) + log2_v + log2_pow
+    if need > weight_bits:
+        weight_bits = _precision_class(math.ceil(need))
+    weights = _cached_weights(mpx, M, weight_bits)
+    sigmas, log2_w = _table_sizes(mpx, M, weight_bits)
+    # the sum: N terms of total size 2^log2_s, each power rounded with s and t
+    log2_s = _log2_sum([w + _log2_abs_pow(s0, t0, k) for k, w in zip(sigmas, log2_w)])
+    count_s = len(sigmas) + 16 * (1 + abs(s0))
+    work = 64 if log2_s == -math.inf else max(64, math.ceil(log2_s + math.log2(count_s) + eps_b + 4))
+    with mp.workprec(work):
+        sc = as_mpc(s, work)
+        tc = as_mpc(t, work)
+        val = mpmath.mpc(0)
+        for sigma in sigmas:
+            val += weights[sigma] * (tc + sigma) ** (-sc)
+    with mp.workprec(64):
+        two = mpmath.mpf(2)
+        bound = (
+            two ** log2_trunc[pick]
+            + count_s * two ** (log2_s - work)
+            + count_w * two ** (log2_v + log2_pow - weight_bits)
+            + two ** (1 - ctx.precision_bits)
+        )
+    bits = ctx.precision_bits + max(0, mpmath.mag(val))
+    return EvalResult(BigComplex(val, prec=bits), "hasse", M, bound)
+
+
+def _log2_abs_pow(s: complex, t: complex, sigma) -> float:
+    """log2 |(t+sigma)^(-s)| in floats."""
+    z = t + sigma
+    return (-s.real * math.log(abs(z)) + s.imag * cmath.phase(z)) / math.log(2)
 
 
 @lru_cache(maxsize=32)
@@ -946,10 +1192,13 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
     evaluation proceeds at elevated precision and flags the result.  At an
     integer sigma <= nu the operator series terminates, and the shifted
     expansion is built only to the order hasse_eval reads there,
-    max(nu - sigma, 16).  Left of the axis the head and the operator part
-    grow like the head's largest term and cancel to D; where that costs
-    more bits than the working precision spares, they are summed with as
-    many more.
+    max(nu - sigma, 16).  Elsewhere :func:`hasse_eval` sums one planned
+    rung of the order-256 expansion (512 past |Im sigma| = 16) to
+    eps/8 min(1, |rising factorial|), so the reported bound, its bound over
+    the rising factorial, is certified and at most eps/8.  Left of the axis
+    the head and the operator part grow like the head's largest term and
+    cancel to D; where that costs more bits than the working precision
+    spares, they are summed with as many more.
     """
     from .continuation import analyze
 
@@ -986,8 +1235,8 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
             # hasse_eval reads at most order max(-hs_int, 16) there
             order = max(-hs_int, 16)
         else:
-            # far off the real axis the operator terms decay later; allow a
-            # deeper truncation ladder there
+            # far off the real axis the operator terms decay later; plan over
+            # a deeper expansion there
             order = 256 if abs(sc.imag) <= 16 else 512
         mpx = _shifted_mp(desc, shift, order, ctx.working_bits(eps_b + 64))
         # left of the axis the head and the operator part each grow like the
@@ -1022,7 +1271,7 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
         bound = as_mpf(hres.tail_bound, work)
         if nu:
             bound = bound / abs(rising)
-        return _result(value, "hasse-continuation", hres.truncation, bound, ctx, flags)
+        return _result(value, "hasse-continuation", hres.truncation, bound, ctx, flags, kind=hres.bound_kind)
 
 
 # ---------------------------------------------------------------------------
@@ -1044,8 +1293,6 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
     the integral uses nested tanh-sinh levels with a certified cutoff, both
     run to eps/max(1, |1/Gamma(s)|) since their error is scaled by 1/Gamma(s).
     """
-    from .bernoulli import todd_series
-
     eps_b = _eps_bits(ctx)
     work = ctx.working_bits(eps_b + 32)
     with mp.workprec(work):
@@ -1061,8 +1308,7 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
         epsilon = min(mpmath.mpf(1), rho / 2)
         ratio = epsilon / rho
         nh = int(mpmath.ceil((eps_b + 16) * mpmath.log(2) / -mpmath.log(ratio))) + 8
-        laur_full = laurent_at_one(desc, nh + 2, prec=work)
-        td = todd_series(laur_full, nh)
+        td = _incgamma_todd(desc, nh, work)
         gstar, inv_gamma = _gamma_star_down(sc, tc * epsilon, nh, work + 16)
         head = mpmath.mpc(0)
         rising = mpmath.mpc(1)
@@ -1087,7 +1333,16 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
         beyond = _beyond_bound(desc, x, tc, upper, work)
         value = head + inv_gamma * integral
         bound = head_tail + abs(inv_gamma) * (quad_err + beyond)
-        return _result(value, "incomplete-gamma", nh, bound, ctx)
+        return _result(value, "incomplete-gamma", nh, bound, ctx, kind="estimated")
+
+
+@lru_cache(maxsize=32)
+def _incgamma_todd(desc, nh, work):
+    """The Todd series of the incomplete-gamma head: psi_n come from its
+    tau_n, per descriptor, head length and working bits."""
+    from .bernoulli import todd_series
+
+    return todd_series(laurent_at_one(desc, nh + 2, prec=work), nh)
 
 
 def _gamma_star_down(sc, z, nh, prec):
@@ -1164,24 +1419,26 @@ def _tanh_sinh(f, a, b, work, eps):
     """Tanh-sinh quadrature on [a, b], halving the step h per level.
 
     Level l+1 keeps the nodes of level l (the even multiples of its step),
-    so it adds only the odd multiples to the running sum of w f."""
+    so it adds only the odd multiples to the running sum of w f.  The
+    abscissae and weights on [-1, 1] come from :func:`_tanh_sinh_nodes`."""
     with mp.workprec(work):
         a = as_mpf(a, work)
         b = as_mpf(b, work)
         half = (b - a) / 2
         mid = (b + a) / 2
-        pi_half = mpmath.pi / 2
         tiny = mpmath.mpf(2) ** (-work - 8)
         raw = mpmath.mpc(0)
         prev = None
         for level in range(3, 13):
             h = mpmath.mpf(3) / 2 ** (level - 1)
-            k, step = (0, 1) if prev is None else (1, 2)
+            first = prev is None
+            nodes = _tanh_sinh_nodes(level, first, work)
+            k, step = (0, 1) if first else (1, 2)
+            i = 0
             while True:
-                tau = k * h
-                sh = mpmath.sinh(tau)
-                x = mpmath.tanh(pi_half * sh)
-                w = pi_half * mpmath.cosh(tau) / mpmath.cosh(pi_half * sh) ** 2
+                if i == len(nodes):
+                    nodes.append(_tanh_sinh_node(k, level, work))
+                x, w = nodes[i]
                 if k > 4 and abs(half * w) < tiny:
                     break
                 points = [mid] if k == 0 else [mid + half * x, mid - half * x]
@@ -1189,6 +1446,7 @@ def _tanh_sinh(f, a, b, work, eps):
                     if a < p_ < b:
                         raw += w * f(p_)
                 k += step
+                i += 1
                 if k > 40 * 2**level:
                     break
             total = raw * half * h
@@ -1198,6 +1456,25 @@ def _tanh_sinh(f, a, b, work, eps):
                     return total, err
             prev = total
         raise SlowConvergenceError("tanh-sinh quadrature did not converge")
+
+
+@lru_cache(maxsize=32)
+def _tanh_sinh_nodes(level, first, work) -> list:
+    """The abscissae and weights (x_k, w_k) on [-1, 1] that a tanh-sinh
+    level visits, k = 0, 1, 2, ... on the first level and k = 1, 3, 5, ...
+    on the others, at ``work`` bits; :func:`_tanh_sinh` extends the list as
+    far as its interval needs."""
+    return []
+
+
+def _tanh_sinh_node(k, level, work):
+    with mp.workprec(work):
+        pi_half = mpmath.pi / 2
+        tau = k * (mpmath.mpf(3) / 2 ** (level - 1))
+        sh = mpmath.sinh(tau)
+        x = mpmath.tanh(pi_half * sh)
+        w = pi_half * mpmath.cosh(tau) / mpmath.cosh(pi_half * sh) ** 2
+        return x, w
 
 
 def _beyond_bound(desc, x, tc, upper, work):

@@ -91,7 +91,7 @@ def test_eval_csv_columns():
     code, out = _run(["--format", "csv", "eval", "--catalog", "eta", "--s", "2", "--t0", "1"])
     assert code == EXIT_OK
     lines = out.strip().splitlines()
-    assert lines[0] == "s_re,s_im,value_re,value_im,method,tail_bound,flags"
+    assert lines[0] == "s_re,s_im,value_re,value_im,method,tail_bound,bound_kind,flags"
     assert len(lines) == 2
 
 
@@ -104,14 +104,14 @@ def test_eval_compare_mode():
 
 
 def test_eval_csv_rows_match_json_rows():
-    # both formats carry the same rows: a near-pole row, and compare rows
-    # where one method does not apply (direct at s = -1)
+    # both formats carry the same rows: a near-pole row, rows whose bound is
+    # certified (hasse) or only estimated (incgamma), and compare rows where
+    # one method does not apply (direct at s = -1)
+    single = "s_re,s_im,value_re,value_im,method,tail_bound,bound_kind,flags"
     cases = (
-        (
-            ["eval", "--catalog", "hurwitz", "--s", "1;2", "--t0", "1"],
-            "s_re,s_im,value_re,value_im,method,tail_bound,flags",
-            "1.0,0.0,,,hasse,,near-pole",
-        ),
+        (["eval", "--catalog", "hurwitz", "--s", "1;2", "--t0", "1"], single, "1.0,0.0,,,hasse,,,near-pole"),
+        (["eval", "--catalog", "eta", "--s", "2", "--t0", "1", "--method", "incgamma"], single, None),
+        (["eval", "--catalog", "eta", "--s", "2;-1.5", "--t0", "1", "--method", "hasse"], single, None),
         (
             ["eval", "--catalog", "eta", "--s", "2;-1", "--t0", "1", "--method", "compare"],
             "s_re,s_im,hasse_re,hasse_im,oracle_re,oracle_im,direct_re,direct_im,"
@@ -127,10 +127,12 @@ def test_eval_csv_rows_match_json_rows():
         lines = csv_out.strip().splitlines()
         rows = json.loads(json_out)["rows"]
         assert lines[0] == header
-        assert known_row in lines
+        assert known_row is None or known_row in lines
         assert len(lines) == len(rows) + 1
         for line, row in zip(lines[1:], rows):
             assert line == ",".join(row.get(col, "") for col in header.split(","))
+            if "method" in row and row["tail_bound"]:
+                assert row["bound_kind"] == ("estimated" if row["method"] == "incomplete-gamma" else "certified"), row
 
 
 def test_eval_polynomial_alpha_compare_mode():

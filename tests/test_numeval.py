@@ -556,7 +556,15 @@ def test_eval_result_precision():
 def test_continue_dirichlet_does_not_depend_on_cache_state():
     s = mpmath.mpc(-1.5, 2.25)
     first = continue_dirichlet(BARNES, s, F(1, 2), CTX)
-    for cache in (numeval._coefficient_model, numeval._cached_weights, numeval._shifted_mp, tame._singularities):
+    caches = (
+        numeval._coefficient_model,
+        numeval._weight_tables,
+        numeval._table_sizes,
+        numeval._tail_plan,
+        numeval._shifted_mp,
+        tame._singularities,
+    )
+    for cache in caches:
         cache.cache_clear()
     again = continue_dirichlet(BARNES, s, F(1, 2), CTX)
     assert (again.value.real, again.value.imag) == (first.value.real, first.value.imag)
@@ -791,8 +799,8 @@ def test_integer_s_far_left_carries_the_cancelled_bits():
 
 
 def test_near_pole_points_share_weight_tables(monkeypatch):
-    # the working bits grow as the point nears the pole at 1; the weight
-    # tables are keyed on their 64-bit class, so each rung needs at most two
+    # the eps bits grow as the point nears the pole at 1; the weight tables
+    # follow them in 64-bit classes, so each rung needs at most two
     original = numeval._cached_weights
     points = [1 + d * mpmath.expj(0.7) for d in (0.9, 0.3, 0.1, 0.03, 0.01, 1e-4)]
     ref_ctx = ApproxContext(precision_bits=256, target_eps=1e-60)
@@ -879,3 +887,54 @@ def test_inexact_lerch_at_one_is_hurwitz_zeta():
     for route in (direct_sum, continue_dirichlet):
         res = route(LerchDescriptor(mpmath.mpf(1)), 3, F(1, 2), CTX)
         assert abs(res.mpc() - ref.mpc()) <= res.tail_bound + ref.tail_bound, route.__name__
+
+
+def test_operator_route_far_left_within_eps_of_hurwitz_decomposition():
+    # barnes-1,1 at s = -8+1.5i, t = 1/2: D = zeta(s-1, t) + (1-t) zeta(s, t).
+    # A rung-agreement test accepted order 64 here relative to |H| ~ 1e15 and
+    # returned a value off by 3.2e-24 with a "bound" of 5.2e-13
+    s, t = mpmath.mpc(-8, 1.5), F(1, 2)
+    r = continue_dirichlet(BARNES, s, t, CTX)
+    assert r.tail_bound <= CTX.target_eps and r.bound_kind == "certified"
+    with mp.workprec(256):
+        th = mpmath.mpf(1) / 2
+        ref = mpmath.zeta(s - 1, th) + (1 - th) * mpmath.zeta(s, th)
+        err = abs(r.mpc() - ref)
+    assert err <= CTX.target_eps
+    assert err <= r.tail_bound + mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(ref))
+
+
+def test_operator_route_bound_meets_eps_left_of_the_axis():
+    # hurwitz and 1/((1-z)(3-z^2)) at s = -3.5+1.2i, t = 1/2 had accurate
+    # values with rung-difference bounds of 2.4e-21 and 1.2e-21 (eps 1e-25);
+    # the planned rung's bound must meet eps and hold.  The rational one is
+    # zeta(s, t)/2 - (1/2) sum_n 3^-(floor(n/2)+1) (t+n)^(-s).
+    s, t = mpmath.mpc(-3.5, 1.2), F(1, 2)
+    with mp.workprec(256):
+        th = mpmath.mpf(1) / 2
+        zeta = mpmath.zeta(s, th)
+        geometric = mpmath.mpc(0)
+        n = 0
+        while True:
+            term = mpmath.mpf(3) ** -(n // 2 + 1) * (th + n) ** (-s)
+            geometric += term
+            if n > 40 and abs(term) < mpmath.mpf(10) ** -60:
+                break
+            n += 1
+        cases = ((GEO, zeta), (RationalDescriptor((1,), (3, -3, -1, 1)), zeta / 2 - geometric / 2))
+    for desc, ref in cases:
+        r = continue_dirichlet(desc, s, t, CTX)
+        assert r.tail_bound <= CTX.target_eps, desc
+        with mp.workprec(256):
+            slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(ref))
+            assert abs(r.mpc() - ref) <= r.tail_bound + slack, desc
+
+
+def test_bound_kinds():
+    s, t = mpmath.mpc(1.5, 2), F(1, 2)
+    for route in (direct_sum, oracle_eval, continue_dirichlet):
+        assert route(ETA, s, t, CTX).bound_kind == "certified", route.__name__
+    assert hurwitz_oracle(s, t, CTX).bound_kind == "certified"
+    assert continue_dirichlet(ETA, -3, t, CTX).bound_kind == "certified"
+    # the quadrature error is the difference of the last two levels
+    assert incgamma_eval(ETA, s, t, CTX).bound_kind == "estimated"

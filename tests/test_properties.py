@@ -17,6 +17,7 @@ from tamezeta.tame import (
     EhrhartDescriptor,
     LerchDescriptor,
     RationalDescriptor,
+    _cyclotomic_factor_split,
     build_multipower,
     laurent_at_one,
 )
@@ -63,6 +64,16 @@ def _within_bounds(a, b, bound, prec):
         return abs(a - b) <= bound + mpmath.mpf(2) ** (2 - prec) * max(1, abs(a))
 
 
+def _left_points(rng, count):
+    """Points with Re s in [-8, 0) and |Im s| <= 24, one of every two past
+    16, where the operator route reads its order-512 expansion."""
+    out = []
+    for i in range(count):
+        im = rng.uniform(16, 24) if i % 2 else rng.uniform(0, 16)
+        out.append(mpmath.mpc(rng.uniform(-8, 0), rng.choice((-1, 1)) * im))
+    return out
+
+
 def test_random_irrational_poles_agree_across_routes():
     # continue_dirichlet carries the mpc partial fractions of irrational poles;
     # it must stay within the reported bounds of the independent routes
@@ -81,10 +92,40 @@ def test_random_irrational_poles_agree_across_routes():
             for other in (direct_sum, incgamma_eval) if nu == 0 else (direct_sum,):
                 b = other(desc, s, t, CTX)
                 assert _within_bounds(a.mpc(), b.mpc(), a.tail_bound + b.tail_bound, prec), (desc, s, other)
+        if nu == 0:
+            # left of the axis only the incomplete-gamma route is independent
+            for s in _left_points(rng, 2):
+                a = continue_dirichlet(desc, s, t, CTX)
+                b = incgamma_eval(desc, s, t, CTX)
+                assert a.tail_bound <= CTX.target_eps, (desc, s)
+                assert _within_bounds(a.mpc(), b.mpc(), a.tail_bound + b.tail_bound, prec), (desc, s)
         special = analyze(desc, t, 2).special_values
         for n in range(3):
             a = continue_dirichlet(desc, -n, t, CTX)
             assert _within_bounds(a.mpc(), special[n], a.tail_bound, prec), (desc, n)
+
+
+def test_random_rational_left_of_axis_within_bounds():
+    # the operator route's planned rung must certify its bound left of the
+    # axis: against the Hurwitz oracle for cyclotomic denominators and the
+    # incomplete-gamma route for pole-free draws (this seed draws both, with
+    # nu = 0, 1 and 2)
+    rng = random.Random(23)
+    prec = CTX.precision_bits
+    checked = 0
+    while checked < 4:
+        desc = _random_tame_rational(rng)
+        nu = laurent_at_one(desc, 2).nu
+        cyclotomic = _cyclotomic_factor_split(Poly(list(desc.den)))[1].degree == 0
+        if not cyclotomic and nu:
+            continue
+        t = F(rng.randint(1, 5), rng.randint(1, 3))
+        for s in _left_points(rng, 2):
+            a = continue_dirichlet(desc, s, t, CTX)
+            b = (oracle_eval if cyclotomic else incgamma_eval)(desc, s, t, CTX)
+            assert a.tail_bound <= CTX.target_eps, (desc, s, t)
+            assert _within_bounds(a.mpc(), b.mpc(), a.tail_bound + b.tail_bound, prec), (desc, s, t)
+        checked += 1
 
 
 def test_random_rational_operator_identity():
