@@ -14,7 +14,9 @@ Four routes are provided and cross-checked by the test suite:
   by m (an exact head sum plus the same series at argument t+m), which
   turns the slow n^(-t) decay of the operator terms into n^(-t-m);
 * :func:`incgamma_eval` -- the lower-incomplete-gamma split for pole-free
-  series (head series in gamma-star values plus a Laplace tail integral).
+  series (head series in gamma-star values plus a Laplace tail integral,
+  taken by one tanh-sinh rule whose step an analyticity-strip bound fixes
+  in advance).
 
 Evaluation is absolute-error targeted at ``ctx.target_eps`` and runs at an
 internally elevated precision: reorganizing difference operators into
@@ -25,6 +27,7 @@ results do not depend on scheduling.
 """
 from __future__ import annotations
 
+from array import array
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -103,7 +106,8 @@ class EvalResult:
     flags: tuple = ()
     exact_value: object = None  # set when the evaluation terminated exactly
     # "certified": tail_bound bounds the error; "estimated": it only
-    # estimates it (incgamma's quadrature error is a level difference)
+    # estimates it (direct_sum's unit-circle Lerch tail stops on an
+    # envelope read off its last term)
     bound_kind: str = "certified"
 
     def mpc(self) -> mpmath.mpc:
@@ -190,9 +194,13 @@ def lower_gamma_star(s, z, prec: int | None = None) -> mpmath.mpc:
     p = prec if prec is not None else mp.prec
     with mp.workprec(p + 32):
         sc = as_mpc(s, p + 32)
-        zc = as_mpc(z, p + 32)
+        return _gamma_star_series(sc, as_mpc(z, p + 32), recip_gamma(sc + 1, p + 32), p)
+
+
+def _gamma_star_series(sc, zc, term, p) -> mpmath.mpc:
+    """gamma*(s,z) from its first term 1/Gamma(s+1), at p + 32 bits."""
+    with mp.workprec(p + 32):
         acc = mpmath.mpc(0)
-        term = recip_gamma(sc + 1, p + 32)
         k = 0
         floor = mpmath.mpf(2) ** (-(p + 16))
         kcap = 64 + 8 * int(abs(zc)) + p
@@ -485,7 +493,9 @@ def direct_sum(desc, s, t, ctx: ApproxContext) -> EvalResult:
     order cap K on each retry.  Plain truncation with
     the |a_n| <= C n^(nu-1+eps) envelope cannot reach tight tolerances
     near the abscissa; the recorded tail_bound covers the completed tails
-    instead.
+    instead.  The oscillatory tail stops on an envelope read off its last
+    term, so that route's bound_kind is "estimated"; every other is
+    "certified".
     """
     eps_b = _eps_bits(ctx)
     work = ctx.working_bits(eps_b)
@@ -526,7 +536,9 @@ def direct_sum(desc, s, t, ctx: ApproxContext) -> EvalResult:
                 K *= 2
                 continue
             if bound <= eps:
-                return _result(value, "direct", used, bound, ctx)
+                # the oscillatory tail stops on an envelope read off its last term
+                kind = "estimated" if model.kind == "oscillatory" else "certified"
+                return _result(value, "direct", used, bound, ctx, kind=kind)
             K *= 2
         raise SlowConvergenceError("direct summation did not reach tolerance", getattr(last_exc, "diagnostics", None))
 
@@ -1289,9 +1301,13 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
     eps = min(1, rho/2) for their convergence radius rho.  The head takes
     gamma*(s+nh, t eps) once and the rest by the downward recurrence
     gamma*(a, z) = z gamma*(a+1, z) + e^(-z)/Gamma(a+1) (DLMF 8.8.1).  The
-    integrand evaluates alpha in closed form (:func:`tame.alpha_evaluator`);
-    the integral uses nested tanh-sinh levels with a certified cutoff, both
-    run to eps/max(1, |1/Gamma(s)|) since their error is scaled by 1/Gamma(s).
+    integrand evaluates alpha in closed form (:func:`tame.alpha_evaluator`).
+    The integral is cut at the least U whose remainder is certified small,
+    and [eps, U] takes one tanh-sinh rule whose step and length
+    :func:`_ts_plan` fixes before any integrand call, from the integrand's
+    majorant on a strip (:class:`_IntegrandBound`).  Cutoff, rule and
+    rounding are bounded to eps/max(1, |1/Gamma(s)|), since their error is
+    scaled by 1/Gamma(s), so the whole bound is certified.
     """
     eps_b = _eps_bits(ctx)
     work = ctx.working_bits(eps_b + 32)
@@ -1325,15 +1341,18 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
         eps_pow = mpmath.power(epsilon, sc)
         head = eps_pow * head
         head_tail = abs(eps_pow) * max_scaled * ratio ** (nh + 1) / (1 - ratio)
-        x = sc.real
         quad_eps = eps / max(1, abs(inv_gamma))
-        upper = _tail_cutoff(desc, x, tc, quad_eps, work)
+        log2_eps = float(mpmath.log(quad_eps, 2))
+        fb = _IntegrandBound.of(desc, sc, tc, work)
+        upper = _tail_cutoff(fb, float(epsilon), log2_eps - 3)
+        plan = _ts_plan(fb, float(epsilon), upper, log2_eps - 1)
         integrand = _make_integrand(desc, sc, tc, work)
-        integral, quad_err = _tanh_sinh(integrand, epsilon, upper, work, quad_eps / 4)
-        beyond = _beyond_bound(desc, x, tc, upper, work)
+        integral, size = _tanh_sinh(integrand, epsilon, upper, plan, work)
+        two = mpmath.mpf(2)
+        quad_err = two**plan.log2_err + two ** fb.beyond(upper) + size * two ** (_ROUNDING_ULPS - work)
         value = head + inv_gamma * integral
-        bound = head_tail + abs(inv_gamma) * (quad_err + beyond)
-        return _result(value, "incomplete-gamma", nh, bound, ctx, kind="estimated")
+        bound = head_tail + abs(inv_gamma) * quad_err
+        return _result(value, "incomplete-gamma", nh, bound, ctx)
 
 
 @lru_cache(maxsize=32)
@@ -1349,10 +1368,11 @@ def _gamma_star_down(sc, z, nh, prec):
     """gamma*(s+n, z) for n = 0..nh, and 1/Gamma(s).
 
     One series value at n = nh, then downward; the forward recurrence
-    subtracts and is unstable."""
+    subtracts and is unstable.  The series starts from the same
+    1/Gamma(s+nh+1) that the recurrence does."""
     with mp.workprec(prec):
-        g = lower_gamma_star(sc + nh, z, prec)
-        rg = recip_gamma(sc + nh + 1, prec)  # 1/Gamma(s+n+1) at n = nh
+        rg = recip_gamma(sc + nh + 1, prec + 32)  # 1/Gamma(s+n+1) at n = nh
+        g = _gamma_star_series(sc + nh, as_mpc(z, prec + 32), rg, prec)
         ez = mpmath.exp(-z)
         out = [g]
         for n in range(nh - 1, -1, -1):
@@ -1379,106 +1399,364 @@ def _exp_radius(desc, work):
         return best
 
 
-def _tail_cutoff(desc, x, tc, eps, work):
-    with mp.workprec(work):
-        u = mpmath.mpf(8)
-        for _ in range(200):
-            mag = _alpha_sup_bound(desc, u, work) * mpmath.exp(-u * tc) * u ** max(x - 1, 0) * (
-                u + 2 / tc
-            )
-            if mag < eps / 8:
-                return u
-            u = u * mpmath.mpf("1.25")
-        raise SlowConvergenceError("could not place the integral cutoff")
-
-
-def _alpha_sup_bound(desc, u, work):
-    """Safe bound for |alpha(e^(-v))| over v >= u."""
-    with mp.workprec(work):
-        z = mpmath.exp(-u)
-        stream = coeffs(desc, 80, prec=work)
-        acc = mpmath.mpf(0)
-        zn = mpmath.mpf(1)
-        for a in stream:
-            acc += abs(as_mpc(a, work)) * zn
-            zn *= z
-        return acc / (1 - z) + 1
-
-
 def _make_integrand(desc, sc, tc, work):
+    """u -> e^(-ut) alpha(e^(-u)) u^(s-1) for real u > 0, its two powers
+    taken as one complex exp."""
     alpha = alpha_evaluator(desc, work)
+    s1 = sc - 1
 
     def f(u):
         with mp.workprec(work):
-            return mpmath.exp(-u * tc) * alpha(mpmath.exp(-u)) * u ** (sc - 1)
+            return alpha(mpmath.exp(-u)) * mpmath.exp(s1 * mpmath.log(u) - u * tc)
 
     return f
 
 
-def _tanh_sinh(f, a, b, work, eps):
-    """Tanh-sinh quadrature on [a, b], halving the step h per level.
-
-    Level l+1 keeps the nodes of level l (the even multiples of its step),
-    so it adds only the odd multiples to the running sum of w f.  The
-    abscissae and weights on [-1, 1] come from :func:`_tanh_sinh_nodes`."""
-    with mp.workprec(work):
-        a = as_mpf(a, work)
-        b = as_mpf(b, work)
-        half = (b - a) / 2
-        mid = (b + a) / 2
-        tiny = mpmath.mpf(2) ** (-work - 8)
-        raw = mpmath.mpc(0)
-        prev = None
-        for level in range(3, 13):
-            h = mpmath.mpf(3) / 2 ** (level - 1)
-            first = prev is None
-            nodes = _tanh_sinh_nodes(level, first, work)
-            k, step = (0, 1) if first else (1, 2)
-            i = 0
-            while True:
-                if i == len(nodes):
-                    nodes.append(_tanh_sinh_node(k, level, work))
-                x, w = nodes[i]
-                if k > 4 and abs(half * w) < tiny:
-                    break
-                points = [mid] if k == 0 else [mid + half * x, mid - half * x]
-                for p_ in points:
-                    if a < p_ < b:
-                        raw += w * f(p_)
-                k += step
-                i += 1
-                if k > 40 * 2**level:
-                    break
-            total = raw * half * h
-            if prev is not None:
-                err = abs(total - prev)
-                if err <= eps:
-                    return total, err
-            prev = total
-        raise SlowConvergenceError("tanh-sinh quadrature did not converge")
+_LOG2E = 1 / math.log(2)
+# |a_n| enter the alpha majorant exactly up to this index; a dominating
+# series bounds the rest in closed form
+_MAJORANT_HEAD = 64
+# the majorant is tabulated at Re u = 2^(j/_MAJORANT_GRID), rounded down
+_MAJORANT_GRID = 16
 
 
 @lru_cache(maxsize=32)
-def _tanh_sinh_nodes(level, first, work) -> list:
-    """The abscissae and weights (x_k, w_k) on [-1, 1] that a tanh-sinh
-    level visits, k = 0, 1, 2, ... on the first level and k = 1, 3, 5, ...
-    on the others, at ``work`` bits; :func:`_tanh_sinh` extends the list as
-    far as its interval needs."""
+def _alpha_majorant(desc, work):
+    """j -> log2 of a bound for |alpha(e^(-u))| over Re u >= 2^(j/_MAJORANT_GRID),
+    cached per j.
+
+    The bound is sum_n |a_n| r^(n-1) at r = e^(-Re u), which decreases in
+    Re u: the |a_n| up to K = _MAJORANT_HEAD, and past K the sum of a
+    series that dominates them.  A rational alpha = num/den has a monic
+    den = prod (z - q_j), so num+(z)/prod (|q_j| - z), num+ with
+    coefficients |num_i|, dominates alpha coefficient by coefficient.
+    Lerch at an inexact w has |a_n| = |w|^(n-1), and central-binomial has
+    positive, decreasing a_n."""
+    K = _MAJORANT_HEAD
+    with mp.workprec(work):
+        head = tuple(float(abs(as_mpc(a, work))) for a in coeffs(desc, K, prec=work))
+        rf = as_rational_fn(desc)
+        if rf is not None:
+            roots = [(float(abs(as_mpc(q.value, work))), q.multiplicity) for q in singularities(desc, work)]
+            # singularities leaves out z = 1; a pole there has |q| = 1
+            roots.append((1.0, rf.den.degree - sum(m for _, m in roots)))
+            num = [float(abs(c)) for c in rf.num.coeffs]
+
+            def whole(r):
+                out = sum(c * r**i for i, c in enumerate(num))
+                for mod, mult in roots:
+                    out /= (mod - r) ** mult
+                return out
+
+            dom = num[:K] + [0.0] * (K - len(num))
+            for mod, mult in roots:
+                for _ in range(mult):
+                    c = 0.0
+                    for n in range(K):
+                        c = (dom[n] + c) / mod  # times 1/(|q| - z)
+                        dom[n] = c
+
+            def rest(r):
+                total = whole(r)
+                return max(0.0, total - sum(c * r**i for i, c in enumerate(dom))) + total * 2.0**-40
+
+        elif isinstance(desc, LerchDescriptor):
+            wabs = float(abs(as_mpc(desc.w, work)))
+
+            def rest(r):
+                return (wabs * r) ** K / (1 - wabs * r) if wabs * r < 1 else math.inf
+
+        elif isinstance(desc, BuiltinDescriptor) and desc.name == "central-binomial":
+
+            def rest(r):
+                return head[-1] * r**K / (1 - r)
+
+        else:
+            raise TypeError("no alpha majorant for %r" % (desc,))
+
+    @lru_cache(maxsize=None)
+    def log2_bound(j) -> float:
+        r = math.exp(-(2.0 ** (j / _MAJORANT_GRID)))
+        if not r < 1:
+            return math.inf
+        return _log2(sum(c * r**i for i, c in enumerate(head)) + rest(r))
+
+    return log2_bound
+
+
+@dataclass(frozen=True)
+class _IntegrandBound:
+    """Majorants of the incgamma integrand f(u) = e^(-ut) alpha(e^(-u)) u^(s-1)
+    for Re s = p + 1, |Im s| = tau, real t > 0, all in log2;
+    ``alpha_log2`` is :func:`_alpha_majorant`."""
+
+    alpha_log2: object
+    p: float
+    tau: float
+    t: float
+
+    @classmethod
+    def of(cls, desc, sc, tc, work):
+        return cls(_alpha_majorant(desc, work), float(sc.real) - 1, abs(float(sc.imag)), float(tc))
+
+    def box(self, re_lo, re_hi, im_hi) -> float:
+        """sup |f| over re_lo <= Re u <= re_hi, |Im u| <= im_hi, from
+
+            |e^(-ut)| = e^(-t Re u),
+            |u^(s-1)| <= |u|^p e^(tau |arg u|), |u| <= Re u + im_hi,
+            |alpha(e^(-u))| <= sum_n |a_n| e^(-(n-1) Re u);
+
+        infinite unless the box lies in Re u > 0, where u^(s-1) and
+        alpha(e^(-u)) are analytic."""
+        if not re_lo > 0:
+            return math.inf
+        p, t = self.p, self.t
+        if p > 0:
+            # e^(-tx) (x + im_hi)^p peaks at x + im_hi = p/t
+            y = min(max(p / t, re_lo + im_hi), re_hi + im_hi)
+            log_e = -t * (y - im_hi) + p * math.log(y)
+        else:
+            log_e = -t * re_lo + p * math.log(re_lo)
+        log_e += self.tau * math.atan2(im_hi, re_lo)
+        return log_e * _LOG2E + self.alpha_log2(math.floor(_MAJORANT_GRID * math.log2(re_lo)))
+
+    def beyond(self, upper) -> float:
+        """int_upper^oo |f(u)| du <= sup_(u >= upper) |alpha| e^(-t upper)
+        upper^p / (t - p/upper), since u^p e^(-tu) <= upper^p e^(-t upper)
+        e^(-(t - p/upper)(u - upper)) for p >= 0; infinite where t <= p/upper."""
+        rate = self.t - max(self.p, 0.0) / upper
+        if not rate > 0:
+            return math.inf
+        return self.box(upper, upper, 0.0) - math.log2(rate)
+
+
+def _tail_cutoff(fb: _IntegrandBound, lo, log2_eps) -> float:
+    """The least point u = 2 lo 1.05^k whose remainder int_u^oo |f| is at
+    most 2^log2_eps."""
+    u = 2 * lo
+    for _ in range(400):
+        if fb.beyond(u) <= log2_eps:
+            return u
+        u *= 1.05
+    raise SlowConvergenceError("could not place the integral cutoff")
+
+
+# ---------------------------------------------------------------------------
+# tanh-sinh quadrature with a planned step
+#
+# On [lo, hi] the rule is the trapezoidal rule in z for
+#   g(z) = f(u(z)) half phi'(z),  u = mid + half phi(z),  phi(z) = tanh(pi/2 sinh z).
+# Where g is analytic on the strip |Im z| < a, Trefethen & Weideman (SIAM
+# Review 56, 2014, Thm 5.1) bound its error by 2M/(e^(2 pi a/h) - 1), M the
+# largest int |g(x+iy)| dx over the strip.  With w = pi/2 sinh z = A + iB,
+#   delta = 1 - phi(z) = 2/(e^(2w) + 1),   |phi'(z)| <= pi/2 cosh x / |cosh w|^2,
+#   |cosh w|^2 = sinh(A)^2 + cos(B)^2,
+# and x >= 0 maps near hi (u = hi - half delta), x <= 0 near lo (u = lo +
+# half delta(-z)).
+# ---------------------------------------------------------------------------
+
+# strip half-widths a the planner tries, widest first (all < pi/2), the
+# width of its x-cells, and how many cells at most before one closed-form
+# rest (past x = 3.5 the rest is below 1e-11 of the strip integral)
+_STRIP_WIDTHS = (1.0, 0.8, 0.7, 0.6, 0.55, 0.5, 0.45, 0.4, 0.35, 0.3, 0.25, 0.2, 0.15, 0.1)
+_CELL = 1 / 16
+_CELLS = 56
+# the rule's rounding: each term takes a handful of roundings at the working
+# bits, and the sum one per term; 2^10 ulps of sum |terms| covers both
+_ROUNDING_ULPS = 10
+
+
+@lru_cache(maxsize=None)
+def _strip_cells(a: float) -> array:
+    """Six floats per x-cell [x0, x1] of 0 <= x, |y| <= a: a box for delta,
+    (Re delta low, Re delta high, |Im delta| high), and log2 of the cell
+    width times sup |phi'|; then for x >= x1 as a whole e with the box
+    (-e, e, e), and log2 of int |phi'| dx.  Depends on a alone, so every
+    point shares it.
+
+    With A in [A0, A1], |B| <= B1 on a cell: Re delta = (cos 2B + e^(-2A))/D,
+    Im delta = -sin 2B/D, D = cosh 2A + cos 2B = 2|cosh w|^2, and
+    |delta| <= 2p/(1 - p) for p = e^(-2A) < 1.  Past x1, A >= A0(x1) and
+    int |phi'| dx <= (coth A0(x1) - 1)/cos a, which is that same 2p/(1-p)
+    over cos a."""
+    ca, sa = math.cos(a), math.sin(a)
+    half_pi = math.pi / 2
+    out = array("d")
+    for i in range(_CELLS):
+        x0, x1 = i * _CELL, (i + 1) * _CELL
+        a0 = half_pi * math.sinh(x0) * ca
+        a1 = half_pi * math.sinh(x1)
+        b1 = half_pi * math.cosh(x1) * sa
+        lower = math.sinh(a0) ** 2 + (math.cos(b1) ** 2 if b1 < half_pi else 0.0)  # |cosh w|^2
+        d_lo, d_hi = 2 * lower, math.cosh(2 * a1) + 1
+        p_hi = math.exp(-2 * a0)
+        c2 = math.cos(2 * b1) if 2 * b1 < math.pi else -1.0
+        num_lo = math.exp(-2 * a1) + c2
+        re_lo = num_lo / (d_hi if num_lo >= 0 else d_lo)
+        re_hi = (1 + p_hi) / d_lo
+        im_hi = (math.sin(2 * b1) if 2 * b1 < half_pi else 1.0) / d_lo
+        if p_hi < 1:
+            e = 2 * p_hi / (1 - p_hi)
+            re_lo, re_hi, im_hi = max(re_lo, -e), min(re_hi, e), min(im_hi, e)
+        p_rest = math.exp(-2 * half_pi * math.sinh(x1) * ca)
+        e_rest = 2 * p_rest / (1 - p_rest)
+        log2_w = math.log2(_CELL * half_pi * math.cosh(x1) / lower)
+        out.extend((re_lo, re_hi, im_hi, log2_w, e_rest, math.log2(e_rest / ca)))
+    return out
+
+
+def _strip_log2_m(fb: _IntegrandBound, lo, hi, a) -> float:
+    """log2 of M for the strip of half-width a: per cell, its phi' weight
+    times the majorant of f over the cell's u-box, on both sides."""
+    half = (hi - lo) / 2
+
+    def weighted(side, re_lo, re_hi, im_hi, log2_w):
+        if side < 0:  # x <= 0 maps near lo
+            return log2_w + fb.box(lo + half * re_lo, lo + half * re_hi, half * im_hi)
+        return log2_w + fb.box(hi - half * re_hi, hi - half * re_lo, half * im_hi)
+
+    terms = []
+    cells = _strip_cells(a)
+    for side in (-1, 1):
+        for i in range(0, len(cells), 6):
+            re_lo, re_hi, im_hi, log2_w, e, log2_rest = cells[i : i + 6]
+            term = weighted(side, re_lo, re_hi, im_hi, log2_w)
+            if term == math.inf:
+                return math.inf
+            terms.append(term)
+            # the rest past this cell closes the side once it is negligible
+            rest_term = weighted(side, -e, e, e, log2_rest)
+            if rest_term < max(terms) - 60 or i == len(cells) - 6:
+                terms.append(rest_term)
+                break
+    return math.log2(half) + _log2_sum(terms)
+
+
+@dataclass(frozen=True)
+class _TanhSinhPlan:
+    """One tanh-sinh rule, fixed before any integrand call."""
+
+    a: float  # strip half-width
+    log2_m: float  # log2 of M on that strip
+    steps: int  # h = 1/steps
+    left: int  # nodes -left..right
+    right: int
+    log2_err: float  # discretization plus both truncations
+
+    @property
+    def nodes(self) -> int:
+        return self.left + self.right + 1
+
+
+def _ts_cut_log2(fb: _IntegrandBound, lo, hi, steps, side, n) -> float:
+    """log2 of a bound on what one side's nodes k > n add: with delta_n =
+    1 - phi(nh) <= 2 e^(-pi sinh(nh)), h sum_(k>n) phi'(kh) <= delta_n
+    (phi' decreases), and those nodes lie within half delta_n of their end
+    of [lo, hi], so sup|f| is taken there."""
+    half = (hi - lo) / 2
+    v = math.pi * math.sinh(n / steps)
+    reach = 2 * half * math.exp(-v)
+    box = (lo, min(lo + reach, hi), 0.0) if side < 0 else (max(hi - reach, lo), hi, 0.0)
+    return math.log2(half) + 1 - v * _LOG2E + fb.box(*box)
+
+
+def _ts_errors(fb: _IntegrandBound, lo, hi, a, log2_m, steps, left, right) -> float:
+    """log2 of the error bound of the rule with step h = 1/steps and nodes
+    -left..right: 2M/(e^(2 pi a/h) - 1) plus both sides' cut-offs."""
+    x = 2 * math.pi * a * steps  # 2 pi a/h
+    disc = 1 + log2_m - x * _LOG2E - math.log2(-math.expm1(-x))
+    return _log2_sum([disc, _ts_cut_log2(fb, lo, hi, steps, -1, left), _ts_cut_log2(fb, lo, hi, steps, 1, right)])
+
+
+def _ts_cut(fb: _IntegrandBound, lo, hi, steps, side, log2_eps) -> int:
+    """Least n whose cut-off bound (:func:`_ts_cut_log2`, decreasing in n)
+    is at most 2^log2_eps."""
+    top = 1
+    while _ts_cut_log2(fb, lo, hi, steps, side, top) > log2_eps:
+        top *= 2
+    below = -1  # the bound at n = below is above 2^log2_eps, or below = -1
+    while top - below > 1:
+        n = (top + below) // 2
+        if _ts_cut_log2(fb, lo, hi, steps, side, n) > log2_eps:
+            below = n
+        else:
+            top = n
+    return top
+
+
+def _ts_plan(fb: _IntegrandBound, lo, hi, log2_eps) -> _TanhSinhPlan:
+    """The tanh-sinh rule on [lo, hi] with the fewest nodes whose error
+    bound is at most 2^log2_eps: half of it for the discretization, a
+    quarter for each side's cut-off.  Tries the strip half-widths of
+    _STRIP_WIDTHS from the widest down: a strip whose u-image leaves
+    Re u > 0 is skipped, and the search stops once a narrower strip needs
+    more nodes than the best so far.  The step is 1/steps for an integer
+    steps, so that points share nodes."""
+    best = None
+    for a in _STRIP_WIDTHS:
+        log2_m = _strip_log2_m(fb, lo, hi, a)
+        if log2_m == math.inf:
+            continue
+        # 2M/(e^x - 1) <= eps/2 for x = 2 pi a/h
+        ratio = 2 + log2_m - log2_eps
+        x = ratio * math.log(2) + math.log1p(2.0**-ratio) if ratio > 0 else math.log1p(2.0**ratio)
+        steps = math.ceil(x / (2 * math.pi * a))
+        left = _ts_cut(fb, lo, hi, steps, -1, log2_eps - 2)
+        right = _ts_cut(fb, lo, hi, steps, 1, log2_eps - 2)
+        err = _ts_errors(fb, lo, hi, a, log2_m, steps, left, right)
+        plan = _TanhSinhPlan(a, log2_m, steps, left, right, err)
+        if best is not None and plan.nodes > best.nodes:
+            break
+        if best is None or (plan.nodes, plan.log2_err) < (best.nodes, best.log2_err):
+            best = plan
+    if best is None:
+        raise SlowConvergenceError("no strip keeps the tanh-sinh integrand analytic")
+    return best
+
+
+def _tanh_sinh(f, lo, hi, plan: _TanhSinhPlan, work):
+    """h half sum_k phi'(kh) f(u(kh)), k = -plan.left..plan.right, h =
+    1/plan.steps, and h half sum_k |phi'(kh) f(u(kh))| for the rounding
+    bound.  f is called once per node, at u = lo + half delta_k and
+    hi - half delta_k, so no abscissa is lost to cancellation near an end."""
+    with mp.workprec(work):
+        lo = as_mpf(lo, work)
+        hi = as_mpf(hi, work)
+        half = (hi - lo) / 2
+        nodes = _ts_node_list(plan.steps, max(plan.left, plan.right), work)
+        terms = [nodes[0][1] * f(lo + half)]
+        terms += [w * f(lo + half * d) for d, w in nodes[1 : plan.left + 1]]
+        terms += [w * f(hi - half * d) for d, w in nodes[1 : plan.right + 1]]
+        scale = half / plan.steps
+        size = mpmath.fsum(abs(v.real) + abs(v.imag) for v in terms)
+        return mpmath.fsum(terms) * scale, size * scale
+
+
+@lru_cache(maxsize=64)
+def _ts_nodes(steps, work) -> list:
+    """The nodes (delta_k, phi'(kh)) for h = 1/steps, k = 0, 1, 2, ... at
+    ``work`` bits, where delta_k = 1 - phi(kh); :func:`_ts_node_list`
+    extends the list as far as a rule needs."""
     return []
 
 
-def _tanh_sinh_node(k, level, work):
-    with mp.workprec(work):
-        pi_half = mpmath.pi / 2
-        tau = k * (mpmath.mpf(3) / 2 ** (level - 1))
-        sh = mpmath.sinh(tau)
-        x = mpmath.tanh(pi_half * sh)
-        w = pi_half * mpmath.cosh(tau) / mpmath.cosh(pi_half * sh) ** 2
-        return x, w
+# nodes are built in blocks of this many, each from its own e^(kh), so that
+# their values do not depend on how far earlier rules extended the list
+_NODE_BLOCK = 32
 
 
-def _beyond_bound(desc, x, tc, upper, work):
-    with mp.workprec(work):
-        supb = _alpha_sup_bound(desc, upper, work)
-        u = as_mpf(upper, work)
-        return supb * mpmath.exp(-u * tc) * u ** max(x - 1, 0) * 2 / tc
+def _ts_node_list(steps, count, work) -> list:
+    """Nodes 0..count of step 1/steps, one exp each: with E = e^(kh) and
+    q = e^(-pi sinh kh), delta = 2q/(1+q) and phi' = pi (E + 1/E) q/(1+q)^2."""
+    nodes = _ts_nodes(steps, work)
+    if len(nodes) <= count:
+        with mp.workprec(work + 16):
+            grow = mpmath.exp(mpmath.mpf(1) / steps)
+            while len(nodes) <= count:
+                big = mpmath.exp(mpmath.mpf(len(nodes)) / steps)
+                for _ in range(_NODE_BLOCK):
+                    small = 1 / big
+                    q = mpmath.exp(-mpmath.pi * (big - small) / 2)
+                    nodes.append((2 * q / (1 + q), mpmath.pi * (big + small) * q / (1 + q) ** 2))
+                    big *= grow
+    return nodes

@@ -62,9 +62,7 @@ __all__ = [
     "build_multipower",
     "build_shifted_multipower",
     "shifted_rational",
-    "evaluate_multipower",
     "as_rational_fn",
-    "alpha_exp_arg_series",
     "DEFAULT_MARGIN",
 ]
 
@@ -473,46 +471,6 @@ def _series_pow_scalar(ts: TruncSeries, alpha, prec: int) -> TruncSeries:
     with mp.workprec(prec):
         unit = ts * (1 / c0)
         return _series_pow_unit(unit, alpha) * mpmath.power(c0, alpha)
-
-
-def alpha_exp_arg_series(desc, order: int, prec: int) -> TruncSeries:
-    """Taylor series (ordinary coefficients) of alpha(e^u) around u=0.
-
-    Only available for builtins; this is the closed-form route that powers
-    their Todd data.  For the even-zeta series the z=1 pole makes
-    alpha(e^u) itself singular, so the returned series is of
-    (-u)^nu*alpha(e^u), i.e. the Todd numerator tau(u).
-    """
-    if not isinstance(desc, BuiltinDescriptor):
-        raise TypeError("closed-form exponential series only exists for builtins")
-    from .bernoulli import _todd_base
-
-    with mp.workprec(prec):
-        if desc.name == "central-binomial":
-            expu = TruncSeries(
-                [Fraction(1, factorial(n)) for n in range(order + 2)], order + 1
-            ).map(lambda c: as_mpf(c, prec))
-            return _central_binomial_alpha_series(expu, prec).truncate(order)
-        # zeta-even: tau(u) = T(u)/2 - u*sum_n zeta(2n) y^(2n-1) - (u/2) e^(-u),
-        # with T the classical Todd base and y = e^u - 1.
-        T = _todd_base(order).map(lambda c: as_mpf(c, prec))
-        y = TruncSeries(
-            [Fraction(0)] + [Fraction(1, factorial(n)) for n in range(1, order + 1)], order
-        ).map(lambda c: as_mpf(c, prec))
-        acc = T * (mpmath.mpf(1) / 2)
-        ypow = y  # y^(2n-1), starting at n=1
-        y2 = y * y
-        n = 1
-        while 2 * n - 1 <= order:
-            zeta_2n = _zeta_even_coefficient(2 * n, prec)
-            acc = acc - (ypow * zeta_2n).shift_mul(1)
-            ypow = ypow * y2
-            n += 1
-        expmu = TruncSeries(
-            [Fraction((-1) ** n, factorial(n)) for n in range(order + 1)], order
-        ).map(lambda c: as_mpf(c, prec))
-        acc = acc - expmu.shift_mul(1) * (mpmath.mpf(1) / 2)
-        return acc
 
 
 def laurent_at_one(desc, order: int, prec: int | None = None) -> LaurentAtOne:
@@ -1013,20 +971,3 @@ def _shift_series_at_one(alpha1: TruncSeries, head: list, order: int) -> TruncSe
     inv = _inverse_power_series(mpmath.mpf(0), m, order, mpmath.mpf(1))
     # (w + 1)^(-m) via the same binomial helper with a = 0
     return acc * inv
-
-
-def evaluate_multipower(mpx: MultiPowerExpansion, z, prec: int) -> mpmath.mpc:
-    """Evaluate the expansion at lambda_e(z); truncation follows the build order."""
-    with mp.workprec(prec):
-        zc = as_mpc(z, prec)
-        acc = mpmath.mpc(0)
-        for term in mpx.terms:
-            val = as_mpc(term.coeff, prec)
-            for e, series in term.factors:
-                x = zc**e - 1
-                sval = mpmath.mpc(0)
-                for c in reversed(series.coeffs):
-                    sval = sval * x + as_mpc(c, prec)
-                val = val * sval
-            acc += val
-        return acc

@@ -105,8 +105,8 @@ def test_eval_compare_mode():
 
 def test_eval_csv_rows_match_json_rows():
     # both formats carry the same rows: a near-pole row, rows whose bound is
-    # certified (hasse) or only estimated (incgamma), and compare rows where
-    # one method does not apply (direct at s = -1)
+    # certified (hasse and incgamma), and compare rows where one method does
+    # not apply (direct at s = -1)
     single = "s_re,s_im,value_re,value_im,method,tail_bound,bound_kind,flags"
     cases = (
         (["eval", "--catalog", "hurwitz", "--s", "1;2", "--t0", "1"], single, "1.0,0.0,,,hasse,,,near-pole"),
@@ -132,7 +132,7 @@ def test_eval_csv_rows_match_json_rows():
         for line, row in zip(lines[1:], rows):
             assert line == ",".join(row.get(col, "") for col in header.split(","))
             if "method" in row and row["tail_bound"]:
-                assert row["bound_kind"] == ("estimated" if row["method"] == "incomplete-gamma" else "certified"), row
+                assert row["bound_kind"] == "certified", row
 
 
 def test_eval_polynomial_alpha_compare_mode():

@@ -26,10 +26,9 @@ from tamezeta.numeval import (
     oracle_eval,
     recip_gamma,
     shift_weights,
-    _tanh_sinh,
 )
 from tamezeta import numeval, tame
-from tamezeta.scalar import ApproxContext, agree_within, as_mpc, binomial
+from tamezeta.scalar import ApproxContext, agree_within, as_mpc, as_mpf, binomial
 from tamezeta.series import Poly, TruncSeries
 from tamezeta.tame import (
     BarnesDescriptor,
@@ -384,27 +383,114 @@ def test_incgamma_bounds_hold_where_they_used_to_fail():
             assert err <= r.tail_bound + slack, (desc, s, err, r.tail_bound)
 
 
-def test_tanh_sinh_evaluates_each_node_once():
+# alpha = 1: the incgamma integrand is e^(-ut) u^(s-1), whose integral over
+# [lo, hi] is t^(-s) (Gamma(s, t lo) - Gamma(s, t hi))
+ONE = RationalDescriptor((1,), (1,))
+
+
+def _gamma_rule(s, t, lo, hi, log2_eps, work=160):
+    """The planned rule for e^(-ut) u^(s-1) on [lo, hi], its integrand
+    counting its calls, and the exact integral."""
+    with mp.workprec(work):
+        sc, tc = as_mpc(s, work), as_mpf(t, work)
+        fb = numeval._IntegrandBound.of(ONE, sc, tc, work)
+        plan = numeval._ts_plan(fb, lo, hi, log2_eps)
+        f = numeval._make_integrand(ONE, sc, tc, work)
+        exact = tc ** (-sc) * mpmath.gammainc(sc, tc * lo, tc * hi)
     seen = []
 
-    def f(u):
+    def counted(u):
         seen.append(u)
-        return mpmath.exp(-u) * u ** mpmath.mpc(0.5, 1)
+        return f(u)
 
-    with mp.workprec(160):
-        _tanh_sinh(f, 1, 8, 160, mpmath.mpf(10) ** -40)
-    assert len(seen) == len(set(seen))
+    return fb, plan, counted, seen, exact
+
+
+def test_tanh_sinh_evaluates_each_node_once():
+    _, plan, f, seen, _ = _gamma_rule(mpmath.mpc(0.5, 1), 1, 1, 8, -133)
+    numeval._tanh_sinh(f, 1, 8, plan, 160)
+    assert len(seen) == len(set(seen)) == plan.nodes
+    assert all(1 < u < 8 for u in seen)
 
 
 def test_tanh_sinh_matches_incomplete_gamma():
-    # int_1^8 e^(-u) u^(s-1) du = Gamma(s, 1) - Gamma(s, 8)
+    # int_1^8 e^(-u) u^(s-1) du = Gamma(s, 1) - Gamma(s, 8), within the
+    # planned bound plus the rounding term
     eps = mpmath.mpf(10) ** -30
     for s in (mpmath.mpc(0.5, 1), mpmath.mpc(-2.5, 3.7), mpmath.mpc(3, 0)):
+        _, plan, f, _, exact = _gamma_rule(s, 1, 1, 8, float(mpmath.log(eps, 2)))
         with mp.workprec(160):
-            got, err = _tanh_sinh(lambda u: mpmath.exp(-u) * u ** (s - 1), 1, 8, 160, eps)
-            ref = mpmath.gammainc(s, 1, 8)
-            assert err <= eps
-            assert abs(got - ref) <= eps, s
+            got, size = numeval._tanh_sinh(f, 1, 8, plan, 160)
+            bound = mpmath.mpf(2) ** plan.log2_err + size * mpmath.mpf(2) ** (numeval._ROUNDING_ULPS - 160)
+            assert bound <= eps
+            assert abs(got - exact) <= bound, s
+
+
+def test_tanh_sinh_bound_holds_at_twice_the_step():
+    # the strip bound is no mere estimate: with the step doubled the rule
+    # is far less accurate, and its error must still lie under the bound
+    # 2M/(e^(2 pi a/h) - 1) + cut-offs that the same strip gives for that step
+    cases = ((mpmath.mpc(0.5, 1), 1, 1, 8), (mpmath.mpc(-2.5, 3.7), F(7, 3), 1, 30), (mpmath.mpc(2, -6), F(1, 2), 0.5, 60))
+    for s, t, lo, hi in cases:
+        fb, plan, f, _, exact = _gamma_rule(s, t, lo, hi, -100)
+        steps = plan.steps // 2
+        left, right = (-(-n * steps // plan.steps) for n in (plan.left, plan.right))
+        log2_err = numeval._ts_errors(fb, lo, hi, plan.a, plan.log2_m, steps, left, right)
+        coarse = numeval._TanhSinhPlan(plan.a, plan.log2_m, steps, left, right, log2_err)
+        with mp.workprec(160):
+            got, size = numeval._tanh_sinh(f, lo, hi, coarse, 160)
+            err = abs(got - exact)
+            assert err > mpmath.mpf(2) ** plan.log2_err, s  # the coarse rule is visibly worse
+            assert err <= mpmath.mpf(2) ** log2_err + size * mpmath.mpf(2) ** (numeval._ROUNDING_ULPS - 160), s
+
+
+def test_incgamma_certified_over_the_pole_free_catalog():
+    # seeded scan: every pole-free member at t in {1/2, 1, 7/3}, Re s in
+    # [-3, 3], |Im s| <= 8, against a 192-bit operator-route reference
+    rng = random.Random(2023)
+    ref_ctx = ApproxContext(precision_bits=192, target_eps=1e-45)
+    labels = ("eta", "dirichletL-3", "dirichletL-7", "lerch-1/2", "central-binomial")
+    for label, desc in default_members():
+        if label not in labels:
+            continue
+        for t in (F(1, 2), F(1), F(7, 3)):
+            s = mpmath.mpc(rng.uniform(-3, 3), rng.uniform(-8, 8))
+            r = incgamma_eval(desc, s, t, CTX)
+            assert r.bound_kind == "certified"
+            assert r.tail_bound <= CTX.target_eps, (label, s, t)
+            ref = continue_dirichlet(desc, s, t, ref_ctx)
+            with mp.workprec(192):
+                err = abs(r.mpc() - ref.mpc())
+                slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(ref.mpc()))
+                assert err <= r.tail_bound + slack, (label, s, t, err, r.tail_bound)
+
+
+def test_incgamma_integrand_calls(monkeypatch):
+    # one integrand call per node of the planned rule: at most 280 on the
+    # eta region of the benchmark (t = 7/3, Re s in [-3, 3], |Im s| <= 4),
+    # at most 400 on the central-binomial probe
+    calls = []
+    make = numeval._make_integrand
+
+    def counting(*args):
+        f = make(*args)
+
+        def g(u):
+            calls[-1] += 1
+            return f(u)
+
+        return g
+
+    rng = random.Random(7)
+    points = [(ETA, mpmath.mpc(x, y), F(7, 3)) for x in (-3, 0, 3) for y in (-4, 4)]
+    points += [(ETA, mpmath.mpc(rng.uniform(-3, 3), rng.uniform(-4, 4)), F(7, 3)) for _ in range(2)]
+    probe = (catalog_descriptor("central-binomial"), mpmath.mpc(-85 / 256, 1785 / 512), F(1))
+    monkeypatch.setattr(numeval, "_make_integrand", counting)
+    for desc, s, t in points + [probe]:
+        calls.append(0)
+        incgamma_eval(desc, s, t, CTX)
+    assert max(calls[:-1]) <= 280, calls
+    assert calls[-1] <= 400, calls
 
 
 def _brute_force_weights(mpx, order):
@@ -569,6 +655,27 @@ def test_continue_dirichlet_does_not_depend_on_cache_state():
     again = continue_dirichlet(BARNES, s, F(1, 2), CTX)
     assert (again.value.real, again.value.imag) == (first.value.real, first.value.imag)
     assert again.tail_bound == first.tail_bound
+
+
+def test_incgamma_does_not_depend_on_cache_state():
+    # node lists grow in blocks that each start from their own e^(kh): a
+    # list a short rule began and a longer one extended holds the same nodes
+    s, t = mpmath.mpc(-1.5, 2.25), F(7, 3)
+    work = CTX.working_bits(numeval._eps_bits(CTX) + 32)
+    caches = (numeval._ts_nodes, numeval._alpha_majorant, numeval._strip_cells)
+    for cache in caches:
+        cache.cache_clear()
+    first = incgamma_eval(ETA, s, t, CTX)
+    for cache in caches:
+        cache.cache_clear()
+    for steps in range(8, 64):
+        numeval._ts_node_list(steps, 3, work)
+    again = incgamma_eval(ETA, s, t, CTX)
+    assert (again.value.real, again.value.imag) == (first.value.real, first.value.imag)
+    assert again.tail_bound == first.tail_bound
+    extended = list(numeval._ts_node_list(20, 100, work))
+    numeval._ts_nodes.cache_clear()
+    assert numeval._ts_node_list(20, 100, work) == extended
 
 
 def test_exact_and_inexact_lerch_factors_are_cached_apart():
@@ -936,5 +1043,22 @@ def test_bound_kinds():
         assert route(ETA, s, t, CTX).bound_kind == "certified", route.__name__
     assert hurwitz_oracle(s, t, CTX).bound_kind == "certified"
     assert continue_dirichlet(ETA, -3, t, CTX).bound_kind == "certified"
-    # the quadrature error is the difference of the last two levels
-    assert incgamma_eval(ETA, s, t, CTX).bound_kind == "estimated"
+    # the quadrature error is bounded from the integrand's analyticity strip
+    assert incgamma_eval(ETA, s, t, CTX).bound_kind == "certified"
+    # direct_sum reaches the oscillatory tail only on unit-circle Lerch, w != 1
+    for desc in (GEO, BARNES, LerchDescriptor(F(1, 2)), LerchDescriptor(mpmath.mpf(1))):
+        assert direct_sum(desc, s + 2, t, CTX).bound_kind == "certified", desc
+
+
+def test_oscillatory_direct_sum_is_estimated():
+    # w = e^i: the tail stops on an envelope read off its last term; the
+    # value still lies within that bound of the operator route
+    with mp.workprec(1000):
+        w = mpmath.exp(1j * mpmath.mpf(1))
+    desc = LerchDescriptor(w)
+    s, t = mpmath.mpc(1.5, 4), F(1, 2)
+    r = direct_sum(desc, s, t, CTX)
+    assert r.bound_kind == "estimated"
+    ref = continue_dirichlet(desc, s, t, ApproxContext(precision_bits=192, target_eps=1e-40))
+    with mp.workprec(192):
+        assert abs(r.mpc() - ref.mpc()) <= r.tail_bound + mpmath.mpf(2) ** -126 * max(1, abs(ref.mpc()))
