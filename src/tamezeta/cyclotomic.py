@@ -192,7 +192,7 @@ class CycloNum:
     def embed(self, prec: int) -> mpmath.mpc:
         """Numerical value with zeta_n = exp(2*pi*i/n), at prec bits."""
         with mp.workprec(prec):
-            zeta = mpmath.exp(2j * mpmath.pi / self.n)
+            zeta = _root_of_unity(self.n, prec)
             acc = mpmath.mpc(0)
             for c in reversed(self.vec):
                 acc = acc * zeta + mpmath.mpf(c.numerator) / c.denominator
@@ -200,6 +200,13 @@ class CycloNum:
 
     def __repr__(self):
         return "CycloNum(n=%d, %s)" % (self.n, list(self.vec))
+
+
+@lru_cache(maxsize=64)
+def _root_of_unity(n: int, prec: int) -> mpmath.mpc:
+    """exp(2*pi*i/n) at prec bits."""
+    with mp.workprec(prec):
+        return mpmath.exp(2j * mpmath.pi / n)
 
 
 def zeta_power(n: int, j: int) -> CycloNum:

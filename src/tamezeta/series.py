@@ -9,7 +9,7 @@ coefficients beyond the common truncation order.
 from __future__ import annotations
 
 from fractions import Fraction
-from math import comb
+from math import comb, factorial
 
 __all__ = [
     "Poly",
@@ -236,8 +236,9 @@ class TruncSeries:
         while k:
             if k & 1:
                 out = out * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return out
 
     def shift_mul(self, j: int) -> "TruncSeries":
@@ -300,12 +301,25 @@ def log_factor_base(order: int) -> TruncSeries:
 
 
 def series_pow_log_factor(nu: int, order: int) -> TruncSeries:
-    """((-ln z)/(1-z))**nu expanded in powers of (z - 1), exact rationals."""
+    """((-ln z)/(1-z))**nu expanded in powers of w = z - 1, exact rationals.
+
+    The base is log(1+w)/w, and log(1+w)^nu/nu! = sum_n s(n, nu) w^n/n!
+    with s the signed Stirling numbers of the first kind, so the w^k
+    coefficient is nu! s(k+nu, nu)/(k+nu)!.  The numbers come from the row
+    recurrence s(n+1, j) = s(n, j-1) - n s(n, j), kept to columns j <= nu.
+    """
     if nu < 0:
         raise ValueError("nu must be nonnegative")
     if nu == 0:
         return TruncSeries([Fraction(1)], order, center=1)
-    return log_factor_base(order).power(nu)
+    row = [1] + [0] * nu  # s(n, 0..nu), from n = 0
+    scale, n_fact, out = factorial(nu), 1, []
+    for n in range(nu + order + 1):
+        if n >= nu:
+            out.append(Fraction(scale * row[nu], n_fact))
+        row = [(row[j - 1] if j else 0) - n * row[j] for j in range(nu + 1)]
+        n_fact *= n + 1
+    return TruncSeries(out, order, center=1)
 
 
 class RationalFn:

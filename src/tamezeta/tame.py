@@ -265,7 +265,8 @@ def alpha_evaluator(desc, prec: int):
 
     Horner num/den for every descriptor with a rational form, 1/(1 - w z)
     for Lerch at an inexact w, and for central-binomial the arcsine form
-    of :func:`_central_binomial_alpha_series`.  Returns a function of z
+    1/(4-z) + 4 arcsin(sqrt(z)/2)/(sqrt(z) (4-z)^(3/2)), whose series at
+    z=1 is :func:`_central_binomial_at_one`.  Returns a function of z
     evaluating at ``prec`` bits.
     """
     rf = as_rational_fn(desc)
@@ -406,71 +407,26 @@ def _laurent_of_rational(rf: RationalFn, q, order: int, mult: int | None = None)
     return nu, tuple(h.coeffs[pole - r] for r in range(1, nu + 1)), lau[: order + 1]
 
 
-def _central_binomial_alpha_series(z_series: TruncSeries, prec: int) -> TruncSeries:
-    """alpha composed with a unit-constant series for z, via the closed form
+def _central_binomial_at_one(order: int) -> TruncSeries:
+    """alpha(1+w) to w^order for the central-binomial series, at the
+    working precision.
 
-        alpha(z) = 1/(4-z) + 4*arcsin(sqrt(z)/2) / (sqrt(z) (4-z)^(3/2)).
-
-    The arcsin factor costs one order (differentiate, then integrate), so
-    the result is one order shorter than the input series.
+    With q = z(4-z) = (1+w)(3-w) = 3 + 2w - w^2, the closed form
+    alpha(z) = 1/(4-z) + 4 arcsin(sqrt(z)/2)/(sqrt(z) (4-z)^(3/2)) reads
+    (1 + 4 A y)/(3-w), with y = q^(-1/2) and
+    A = arcsin(sqrt(z)/2) = pi/6 + int y/2.  y solves q y' = -(1/2) q' y, a
+    first order equation whose coefficients obey Miller's power recurrence
+    (Knuth, TAOCP 4.7) 3n y_n = (1-2n) y_(n-1) + (n-1) y_(n-2); the division
+    by 3-w is 3 alpha_n = S_n + alpha_(n-1) for S = 1 + 4 A y.
     """
-    order = z_series.order
-    with mp.workprec(prec):
-        one = TruncSeries([mpmath.mpf(1)], order, z_series.center)
-        if z_series.coeffs[0] != 1:
-            raise ValueError("z-series must have constant term 1")
-        sqrt_z = _series_pow_unit(z_series, mpmath.mpf(1) / 2)
-        four_minus = 4 - z_series
-        inv_four_minus = one / four_minus
-        pow_32 = _series_pow_scalar(four_minus, mpmath.mpf(-3) / 2, prec)
-        g = sqrt_z * (mpmath.mpf(1) / 2)  # sqrt(z)/2, constant 1/2
-        # arcsin(g) = pi/6 + integral of g' / sqrt(1-g^2)
-        one_minus_g2 = one - g * g  # constant 3/4
-        inv_sqrt = _series_pow_scalar(one_minus_g2, mpmath.mpf(-1) / 2, prec)
-        integrand = g.differentiate() * inv_sqrt.truncate(max(0, order - 1))
-        arcsin_g = integrand.integrate(mpmath.pi / 6)
-        alpha = inv_four_minus.truncate(arcsin_g.order) + 4 * arcsin_g * (one / sqrt_z).truncate(
-            arcsin_g.order
-        ) * pow_32.truncate(arcsin_g.order)
-        return alpha
-
-
-def _series_pow_unit(ts: TruncSeries, alpha) -> TruncSeries:
-    """(1 + s)^alpha for a series with constant term exactly 1."""
-    return _series_exp_zero(_series_log_unit(ts) * alpha)
-
-
-def _series_log_unit(ts: TruncSeries) -> TruncSeries:
-    """log of a series with constant term 1 (floating scalars)."""
-    one = TruncSeries([1], ts.order, ts.center)
-    d = ts.differentiate()
-    inv = one / ts
-    return (d * inv.truncate(max(0, ts.order - 1))).integrate(ts.coeffs[0] * 0)
-
-
-def _series_exp_zero(ts: TruncSeries) -> TruncSeries:
-    """exp of a series with zero constant term, by the ODE y' = y * t'."""
-    if ts.coeffs[0] != 0:
-        raise ValueError("exp needs zero constant term")
-    order = ts.order
-    zero = ts.coeffs[0] * 0
-    y = [zero + 1] + [zero] * order
-    d = ts.differentiate()
+    y = [1 / mpmath.sqrt(3)]
     for n in range(1, order + 1):
-        acc = zero
-        for k in range(n):
-            if n - 1 - k <= d.order:
-                acc = acc + d.coeffs[n - 1 - k] * y[k]
-        y[n] = acc / n
-    return TruncSeries(y, order, ts.center)
-
-
-def _series_pow_scalar(ts: TruncSeries, alpha, prec: int) -> TruncSeries:
-    """ts^alpha for a series with nonzero constant term (floating scalars)."""
-    c0 = ts.coeffs[0]
-    with mp.workprec(prec):
-        unit = ts * (1 / c0)
-        return _series_pow_unit(unit, alpha) * mpmath.power(c0, alpha)
+        y.append(((1 - 2 * n) * y[-1] + (n - 1) * (y[-2] if n > 1 else 0)) / (3 * n))
+    arcsin = TruncSeries([mpmath.pi / 6] + [c / (2 * n + 2) for n, c in enumerate(y[:-1])], order, center=1)
+    out = []
+    for c in (1 + 4 * arcsin * TruncSeries(y, order, center=1)).coeffs:
+        out.append((c + (out[-1] if out else 0)) / 3)
+    return TruncSeries(out, order, center=1)
 
 
 def laurent_at_one(desc, order: int, prec: int | None = None) -> LaurentAtOne:
@@ -849,7 +805,9 @@ def _mittag_leffler(desc, shift: int, sings: tuple, field_order: int, order: int
     order + nu otherwise; and (q, e, [c_1..c_mult]) for each singularity
     of ``sings`` with a principal part sum_r c_r/(z-q)^r, e its planned
     exponent.  Rational data stays exact over its field (mpc for a root
-    that is not); the other families are mpmath at the ambient precision.
+    that is not); the other families are mpmath at the ambient precision,
+    central-binomial's regular part from the closed-form series of
+    :func:`_central_binomial_at_one`.
     """
     qs = [_pole_value_in_field(sing, field_order, mp.prec) for sing in sings]
     rf = as_rational_fn(desc)
@@ -872,8 +830,7 @@ def _mittag_leffler(desc, shift: int, sings: tuple, field_order: int, order: int
         if desc.name == "central-binomial":
             # holomorphic at 1, and its singularity at 4 is a branch point:
             # the regular part is all of alpha_shift
-            w_series = TruncSeries([mpmath.mpf(1)] * 2 + [mpmath.mpf(0)] * order, order + 1, center=1)
-            reg = _central_binomial_alpha_series(w_series, mp.prec).truncate(order)
+            reg = _central_binomial_at_one(order)
             if shift:
                 reg = _shift_series_at_one(reg, head, order)
             return 0, (), list(reg.coeffs), []

@@ -52,6 +52,23 @@ def test_embedding_matches_exponential():
             assert agree_within(zeta_power(n, j).embed(160), ref, 1e-40)
 
 
+def test_cached_root_of_unity_embeds_like_a_fresh_one():
+    # embed reads exp(2 pi i/n) from a cache; the value must be the Horner
+    # sum with a freshly computed root, bit for bit
+    rng = random.Random(11)
+    for n in (3, 7, 12):
+        x = CycloNum(n, [Fraction(rng.randint(-9, 9), rng.randint(1, 9)) for _ in range(n)])
+        for prec in (53, 160, 256):
+            x.embed(prec)  # fills the cache
+            with mp.workprec(prec):
+                zeta = mpmath.exp(2j * mpmath.pi / n)
+                ref = mpmath.mpc(0)
+                for c in reversed(x.vec):
+                    ref = ref * zeta + mpmath.mpf(c.numerator) / c.denominator
+            got = x.embed(prec)
+            assert (got.real, got.imag) == (ref.real, ref.imag), (n, prec)
+
+
 def test_galois_and_conjugation():
     z = zeta_power(7, 1)
     for t in range(1, 7):

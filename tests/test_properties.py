@@ -11,7 +11,7 @@ from tamezeta.continuation import analyze, analyze_split
 from tamezeta.numeval import continue_dirichlet, direct_sum, incgamma_eval, oracle_eval
 from tamezeta.reconstruct import ContinuationData, dirichlet_from_data, principal_from_poles
 from tamezeta.scalar import ApproxContext, agree_within, as_mpc
-from tamezeta.series import Poly
+from tamezeta.series import Poly, TruncSeries
 from tamezeta.tame import (
     BarnesDescriptor,
     EhrhartDescriptor,
@@ -265,6 +265,77 @@ def test_mixed_cyclotomic_geometric_direct_path():
         assert agree_within(a.mpc(), ref, 1e-22)
 
 
+def _central_binomial_alpha_series(z_series, prec):
+    """Oracle: central-binomial alpha composed with a unit-constant series
+    for z, via the closed form
+
+        alpha(z) = 1/(4-z) + 4*arcsin(sqrt(z)/2) / (sqrt(z) (4-z)^(3/2)),
+
+    every power taken as exp(alpha log), to the order of the input series."""
+    order = z_series.order
+    with mp.workprec(prec):
+        one = TruncSeries([mpmath.mpf(1)], order, z_series.center)
+        assert z_series.coeffs[0] == 1
+        sqrt_z = _series_pow_unit(z_series, mpmath.mpf(1) / 2)
+        four_minus = 4 - z_series
+        pow_32 = _series_pow_scalar(four_minus, mpmath.mpf(-3) / 2)
+        g = sqrt_z * (mpmath.mpf(1) / 2)  # sqrt(z)/2, constant 1/2
+        # arcsin(g) = pi/6 + integral of g' / sqrt(1-g^2)
+        inv_sqrt = _series_pow_scalar(one - g * g, mpmath.mpf(-1) / 2)
+        arcsin_g = (g.differentiate() * inv_sqrt.truncate(max(0, order - 1))).integrate(mpmath.pi / 6)
+        m = arcsin_g.order
+        return (one / four_minus).truncate(m) + 4 * arcsin_g * (one / sqrt_z).truncate(m) * pow_32.truncate(m)
+
+
+def _series_pow_unit(ts, alpha):
+    """(1 + s)^alpha for a series with constant term exactly 1."""
+    return _series_exp_zero(_series_log_unit(ts) * alpha)
+
+
+def _series_log_unit(ts):
+    """log of a series with constant term 1 (floating scalars)."""
+    inv = TruncSeries([1], ts.order, ts.center) / ts
+    return (ts.differentiate() * inv.truncate(max(0, ts.order - 1))).integrate(ts.coeffs[0] * 0)
+
+
+def _series_exp_zero(ts):
+    """exp of a series with zero constant term, by the ODE y' = y * t'."""
+    assert ts.coeffs[0] == 0
+    zero = ts.coeffs[0] * 0
+    y = [zero + 1] + [zero] * ts.order
+    d = ts.differentiate()
+    for n in range(1, ts.order + 1):
+        acc = zero
+        for k in range(n):
+            if n - 1 - k <= d.order:
+                acc = acc + d.coeffs[n - 1 - k] * y[k]
+        y[n] = acc / n
+    return TruncSeries(y, ts.order, ts.center)
+
+
+def _series_pow_scalar(ts, alpha):
+    """ts^alpha for a series with nonzero constant term (floating scalars)."""
+    c0 = ts.coeffs[0]
+    return _series_pow_unit(ts * (1 / c0), alpha) * mpmath.power(c0, alpha)
+
+
+def test_central_binomial_series_matches_composition_form():
+    # the closed-form coefficients of alpha(1+w) (Miller's power recurrence
+    # for q^(-1/2)) against the composition form at z = 1 + w
+    from tamezeta.tame import _central_binomial_at_one
+
+    order = 512
+    for prec in (192, 320):
+        with mp.workprec(prec):
+            got = _central_binomial_at_one(order).coeffs
+            z = TruncSeries([mpmath.mpf(1)] * 2, order + 1, center=1)
+            ref = _central_binomial_alpha_series(z, prec).truncate(order)
+            tol = mpmath.mpf(2) ** (4 - prec)
+        assert len(got) == len(ref.coeffs) == order + 1
+        for n, (a, b) in enumerate(zip(got, ref.coeffs)):
+            assert abs(a - b) <= tol, (prec, n)
+
+
 def _alpha_exp_arg_series(name, order, prec):
     """Oracle: Taylor series of alpha(e^u) at u = 0 from the builtin's
     closed form.  For the even-zeta series the z=1 pole makes alpha(e^u)
@@ -274,7 +345,7 @@ def _alpha_exp_arg_series(name, order, prec):
     from tamezeta.bernoulli import _todd_base
     from tamezeta.scalar import as_mpf
     from tamezeta.series import TruncSeries
-    from tamezeta.tame import _central_binomial_alpha_series, _zeta_even_coefficient
+    from tamezeta.tame import _zeta_even_coefficient
 
     def exp_series(sign, start, length, order):
         return TruncSeries(

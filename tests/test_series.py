@@ -11,6 +11,7 @@ from tamezeta.series import (
     RationalFn,
     TruncSeries,
     compose,
+    log_factor_base,
     poly_divmod,
     poly_gcd,
     poly_invmod,
@@ -114,6 +115,24 @@ def test_series_pow_log_factor():
     # square of the base series, checked directly
     base = series_pow_log_factor(1, 5)
     assert L2 == base * base
+
+
+@pytest.mark.parametrize("order", [0, 1, 9, 64, 300])
+def test_series_pow_log_factor_is_the_power_of_its_base(order):
+    # the Stirling-number closed form against repeated multiplication
+    base = log_factor_base(order)
+    for nu in range(1, 5):
+        assert series_pow_log_factor(nu, order) == base.power(nu), nu
+
+
+def test_power_is_the_repeated_product():
+    rng = random.Random(5)
+    for order in (0, 3, 11):
+        x = ts([F(rng.randint(-5, 5), rng.randint(1, 4)) for _ in range(order + 1)], order)
+        acc = TruncSeries([1], order)
+        for k in range(6):
+            assert x.power(k) == acc, (order, k)
+            acc = acc * x
 
 
 @given(
