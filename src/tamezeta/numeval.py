@@ -838,8 +838,8 @@ def _shift_weight_rungs(mpx: MultiPowerExpansion, orders, prec) -> list:
 
 
 def _rungs(mpx: MultiPowerExpansion) -> tuple:
-    """The truncation orders the operator series is planned over."""
-    return tuple(M for M in (32, 64, 128, 256, 512) if M < mpx.order) + (mpx.order,)
+    """The truncation orders the operator series is planned over, all below the expansion's order."""
+    return tuple(M for M in (32, 64, 128, 256, 512) if M < mpx.order)
 
 
 @lru_cache(maxsize=64)
@@ -888,11 +888,11 @@ def _precision_class(bits: int) -> int:
 class _TailPlan:
     """Float majorants of one expansion's operator series.
 
-    ``pieces`` holds, per rung M, the terms the truncation at M leaves out,
-    as (e, Q_0..Q_K, E) with K = mpx.order: the indices i with |i| = n of
-    the pieces with largest exponent e carry coefficients of total size at
-    most Q_n for n <= K, and at most E (n/K)^grow past K.  A term with
-    factors j = 1..k leaves out, for each j, the indices with i_j > M and
+    ``pieces`` holds, per rung M < K = mpx.order, the terms the truncation
+    at M leaves out, as (e, Q_0..Q_K, E): the indices i with |i| = n of the
+    pieces with largest exponent e carry coefficients of total size at most
+    Q_n for n <= K, and at most E (n/K)^grow past K.  A term with factors
+    j = 1..k leaves out, for each j, the indices with i_j > M and
     i_l <= M for l > j; their |b| products are the convolution of the
     factors 1..j, with factor j past M only, times sum_{i<=M} |b_li| for each
     l > j, whose operator factors are at most 1; the largest exponent among
@@ -952,8 +952,8 @@ def _tail_plan(mpx: MultiPowerExpansion) -> _TailPlan:
             for _, b in factors[:-1]:
                 prefixes.append(_convolve(prefixes[-1], b, K))
             for r, M in enumerate(rungs):
-                sizes = (sum(y * 2.0**m for m, y in enumerate(b[: M + 1])) for _, b in factors)
-                size_logs[r].append(_log2(c) + sum(_log2(x) for x in sizes))
+                sizes = (_log2_sum([_log2(y) + m for m, y in enumerate(b[: M + 1])]) for _, b in factors)
+                size_logs[r].append(_log2(c) + sum(sizes))
                 e_max = 1
                 for j, (e, b) in enumerate(factors):
                     e_max = max(e_max, e)
@@ -998,7 +998,7 @@ def _truncation_log2_bounds(plan: _TailPlan, s: complex, t: complex) -> list:
     with mp.workprec(53):
         log2_rg = -float(mpmath.re(mpmath.loggamma(mpmath.mpc(s)))) / ln2
     k = 0 if sr > 1 else math.ceil(1 - sr)
-    lo = plan.rungs[0] + 1
+    lo = plan.rungs[0] + 1 if plan.rungs else K + 1
     per_e = {}  # e -> (a, beta, log2 P, log2 B(a, lo+beta), B(a, n+beta)/B(a, lo+beta) for lo <= n <= K)
     out = []
     for M, pieces in zip(plan.rungs, plan.pieces):
@@ -1066,20 +1066,20 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     For s = -n a nonpositive integer the operator series terminates
     identically on the polynomial t^n, so its shift form is exact there:
     H(-n, t) = sum_sigma W_sigma (t+sigma)^n over the shift weights at order
-    min(mpx.order, max(n, 16)), summed in ascending sigma.  Exact data and a
-    rational t give an exact Fraction; otherwise the weights and the sum are
-    mpc at max(order, n) + 64 guard bits, raised once if the terms cancel
-    beyond them, and the value keeps an absolute 2^-precision_bits, since a
-    caller may cancel it against a head as large.
+    min(mpx.order, max(n, 16)), summed in ascending sigma (ValueError for
+    mpx.order < n).  Exact data and a rational t give an exact Fraction;
+    otherwise the weights and the sum are mpc at max(order, n) + 64 guard
+    bits, raised once if the terms cancel beyond them, and the value keeps
+    an absolute 2^-precision_bits, as a caller may cancel it against a head.
 
     Otherwise one truncation order M is planned before any power is taken.
     The Laplace-Mellin form Delta^i t^(-s) = Gamma(s)^(-1) int_0^oo x^(s-1)
     e^(-tx) prod_j (e^(-e_j x) - 1)^(i_j) dx, which converges left of the
     axis too once |i| > -Re s, bounds every term a rung leaves out through
     the sizes of the expansion's coefficients (:func:`_tail_plan`,
-    :func:`_truncation_log2_bounds`); the first of 32, 64, ..., mpx.order
-    whose bound is at most eps/2 is summed, one power per weight, in
-    ascending sigma.  The sum runs at log2 sum_sigma |W_sigma (t+sigma)^(-s)|
+    :func:`_truncation_log2_bounds`); the first rung of 32, 64, ... below
+    mpx.order whose bound is at most eps/2 is summed, one power per weight,
+    in ascending sigma.  The sum runs at log2 sum_sigma |W_sigma (t+sigma)^(-s)|
     (a float estimate) plus the bits of eps; the weights are kept at one
     precision per expansion and eps bits, enough for every rung and for
     powers up to 2^128 (a larger 64-bit class only where a point's powers
@@ -1091,13 +1091,16 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     bound exactly; past it they are taken to stay below twice the largest of
     its last half times (n/order)^(nu+1), which covers the growth the
     (-ln z)^nu factor allows and the geometric decay of the pole factors.
-    When no rung meets eps, :class:`SlowConvergenceError` is raised.
+    When no rung meets eps, :class:`SlowConvergenceError` is raised with
+    the log2 bounds, all +inf where their conditions on s and t fail.
 
     H(s, t) is the entire continuation of s(s+1)...(s+nu-1) D(s+nu, t).
     """
     exact_s = _as_exact_int(s)
     if exact_s is not None and exact_s <= 0:
         n = -exact_s
+        if mpx.order < n:
+            raise ValueError("the shift form is exact on t^%d only from order %d" % (n, n))
         # exact on t^n once the order reaches n; at least 16 so that one
         # table serves every small n, at most mpx.order so that a deep
         # expansion never builds its full-order table for a small n
@@ -1205,12 +1208,12 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
     integer sigma <= nu the operator series terminates, and the shifted
     expansion is built only to the order hasse_eval reads there,
     max(nu - sigma, 16).  Elsewhere :func:`hasse_eval` sums one planned
-    rung of the order-256 expansion (512 past |Im sigma| = 16) to
-    eps/8 min(1, |rising factorial|), so the reported bound, its bound over
-    the rising factorial, is certified and at most eps/8.  Left of the axis
-    the head and the operator part grow like the head's largest term and
-    cancel to D; where that costs more bits than the working precision
-    spares, they are summed with as many more.
+    rung of the first of the orders 256, 512, 1024 with a rung that meets
+    eps/8 min(1, |rising factorial|), none deeper once a bound is +inf: the
+    reported bound, over the rising factorial, is certified and at most
+    eps/8.  Left of the axis the head and the operator part grow like the
+    head's largest term and cancel to D; where that costs more bits than the
+    working precision spares, they are summed with as many more.
     """
     from .continuation import analyze
 
@@ -1245,12 +1248,10 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
         hs_int = _as_exact_int(hs)
         if hs_int is not None and hs_int <= 0:
             # hasse_eval reads at most order max(-hs_int, 16) there
-            order = max(-hs_int, 16)
+            orders = (max(-hs_int, 16),)
         else:
-            # far off the real axis the operator terms decay later; plan over
-            # a deeper expansion there
-            order = 256 if abs(sc.imag) <= 16 else 512
-        mpx = _shifted_mp(desc, shift, order, ctx.working_bits(eps_b + 64))
+            # a deeper expansion only where no rung of the one before meets eps
+            orders = (256, 512, 1024)
         # left of the axis the head and the operator part each grow like the
         # head's largest term and cancel to D: carry the bits they cancel
         lift = 0
@@ -1276,7 +1277,14 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
             target_eps=max(sub_eps, 2.0 ** (-(ctx.precision_bits + extra_bits + 16))),
             max_terms=ctx.max_terms,
         )
-        hres = hasse_eval(mpx, hs, t + shift if isinstance(t, (int, Fraction)) else tc + shift, sub)
+        for order in orders:
+            mpx = _shifted_mp(desc, shift, order, ctx.working_bits(eps_b + 64))
+            try:
+                hres = hasse_eval(mpx, hs, t + shift if isinstance(t, (int, Fraction)) else tc + shift, sub)
+                break
+            except SlowConvergenceError as err:
+                if order == orders[-1] or err.diagnostics["log2_bounds"][-1] == math.inf:
+                    raise
         # an exact operator value enters whole, not rounded to the sub-context's bits
         hval = as_mpc(hres.exact_value, work) if hres.exact_value is not None else hres.mpc()
         value = head + (hval / rising if nu else hval)

@@ -921,10 +921,11 @@ def _lift(p, sample):
 
 
 def _shift_series_at_one(alpha1: TruncSeries, head: list, order: int) -> TruncSeries:
-    """(alpha(1+w) - head(1+w)) / (1+w)^shift as a series in w."""
-    m = len(head)
-    head1 = recenter(Poly([as_mpc(h) for h in head]), mpmath.mpf(1))
-    acc = alpha1 - TruncSeries(list(head1.coeffs) + [mpmath.mpc(0)] * (order + 1), order, center=1)
-    inv = _inverse_power_series(mpmath.mpf(0), m, order, mpmath.mpf(1))
-    # (w + 1)^(-m) via the same binomial helper with a = 0
-    return acc * inv
+    """(alpha(1+w) - head(1+w)) / (1+w)^shift as a series in w over its own
+    scalars: per head coefficient a, (g - a)/(1+w) with c_n -= c_(n-1)."""
+    c = list(alpha1.coeffs[: order + 1])
+    for a in head:
+        c[0] -= as_mpf(a)
+        for n in range(1, len(c)):
+            c[n] -= c[n - 1]
+    return TruncSeries(c, len(c) - 1, center=1)

@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 from fractions import Fraction as F
 from math import comb, factorial
@@ -237,11 +238,13 @@ def test_hasse_identity_with_hurwitz():
 
 
 def test_hasse_stagnation_raises():
-    # at t=1 the raw (unshifted) series converges far too slowly for eps
-    mpx = build_multipower(GEO, order=48)
-    with pytest.raises(SlowConvergenceError) as exc:
-        hasse_eval(mpx, mpmath.mpf(0.5), mpmath.mpf(1), CTX)
-    assert "orders" in exc.value.diagnostics
+    # at t=1 the raw (unshifted) series converges far too slowly for eps; an
+    # expansion of order 32 or less has no rung at all
+    for order in (16, 48):
+        mpx = build_multipower(GEO, order=order)
+        with pytest.raises(SlowConvergenceError) as exc:
+            hasse_eval(mpx, mpmath.mpf(0.5), mpmath.mpf(1), CTX)
+        assert "orders" in exc.value.diagnostics
 
 
 def test_continue_dirichlet_examples():
@@ -1062,3 +1065,73 @@ def test_oscillatory_direct_sum_is_estimated():
     ref = continue_dirichlet(desc, s, t, ApproxContext(precision_bits=192, target_eps=1e-40))
     with mp.workprec(192):
         assert abs(r.mpc() - ref.mpc()) <= r.tail_bound + mpmath.mpf(2) ** -126 * max(1, abs(ref.mpc()))
+
+
+def test_rungs_stay_below_the_order():
+    # the expansion's own order leaves nothing out that the tail model could
+    # read, so it is no rung
+    for order in (16, 32, 33, 48, 64, 256, 512, 1024, 1100):
+        rungs = numeval._rungs(MultiPowerExpansion(1, (), order))
+        assert rungs == tuple(M for M in (32, 64, 128, 256, 512) if M < order), order
+
+
+def test_truncation_bounds_finite_at_every_rung():
+    shift = 40
+    work = CTX.working_bits(numeval._eps_bits(CTX) + 64)
+    for desc in (GEO, BARNES):
+        nu = laurent_at_one(desc, 1).nu
+        for order in (64, 256):
+            plan = numeval._tail_plan(numeval._shifted_mp(desc, shift, order, work))
+            for s in (complex(0.5, 3), complex(-10, 5), complex(-25, 12), complex(-30, 15)):
+                bounds = numeval._truncation_log2_bounds(plan, s - nu, complex(0.5 + shift))
+                assert len(bounds) == len(plan.rungs) and all(map(math.isfinite, bounds)), (desc, order, s)
+
+
+def test_continuation_far_left_within_bound():
+    # the deepest rung of a shallow expansion used to read an empty tail
+    # model and report a bound far below its error
+    t = F(1, 2)
+    for s in (mpmath.mpc(-25, 12), mpmath.mpc(-16, 14)):
+        r = continue_dirichlet(GEO, s, t, CTX)
+        with mp.workprec(400):
+            ref = mpmath.zeta(s, mpmath.mpf(1) / 2)
+            slack = mpmath.mpf(2) ** (2 - CTX.precision_bits) * max(1, abs(r.mpc()))
+            assert abs(r.mpc() - ref) <= r.tail_bound + slack, s
+    with pytest.raises(SlowConvergenceError):
+        continue_dirichlet(GEO, mpmath.mpc(-30, 15), t, CTX)
+
+
+def test_tail_plan_past_order_1024():
+    plan = numeval._tail_plan(build_multipower(GEO, order=1100))
+    assert plan.rungs == (32, 64, 128, 256, 512)
+    assert all(map(math.isfinite, plan.log2_size))
+
+
+def test_order_escalation_builds_only_what_it_needs(monkeypatch):
+    # off the axis the order-256 expansion has a rung that meets eps, and far
+    # left the bound's conditions fail at every order: no deeper expansion
+    # is built for either
+    requested = []
+    original = numeval._shifted_mp
+
+    def recording(desc, shift, order, prec):
+        requested.append(order)
+        return original(desc, shift, order, prec)
+
+    monkeypatch.setattr(numeval, "_shifted_mp", recording)
+    r = continue_dirichlet(ETA, mpmath.mpc(0.5, 20), 1, CTX)
+    assert requested == [256] and r.truncation < 256
+    requested.clear()
+    with pytest.raises(SlowConvergenceError) as exc:
+        continue_dirichlet(GEO, mpmath.mpc(-40, 1), F(1, 2), CTX)
+    assert requested == [256] and exc.value.diagnostics["log2_bounds"][-1] == math.inf
+
+
+def test_integer_s_below_the_expansion_order_raises():
+    # the shift form is exact on t^n only from order n
+    for order, n in ((8, 9), (4, 12)):
+        mpx = build_multipower(GEO, order=order)
+        with pytest.raises(ValueError):
+            hasse_eval(mpx, -n, F(1, 2), CTX)
+        deeper = build_multipower(GEO, order=n)
+        assert hasse_eval(mpx, -order, F(1, 2), CTX).exact_value == hasse_eval(deeper, -order, F(1, 2), CTX).exact_value

@@ -7,7 +7,7 @@ import pytest
 from mpmath import mp
 
 from tamezeta.catalog import catalog_descriptor, default_members
-from tamezeta.scalar import agree_within, as_mpc
+from tamezeta.scalar import agree_within, as_mpc, binomial
 from tamezeta.tame import (
     BarnesDescriptor,
     BuiltinDescriptor,
@@ -358,3 +358,26 @@ def test_laurent_of_rational_checks_exact_multiplicity():
     for rf, mult in ((simple, 2), (double, 1), (double, 3)):
         with pytest.raises(AssertionError, match="multiplicity mismatch"):
             _laurent_of_rational(rf, F(2), -1, mult)
+
+
+def test_shift_series_at_one_matches_product_form():
+    # subtracting the head one coefficient at a time, each followed by a
+    # division by 1 + w, over the real scalars, gives the series that the
+    # complex product of alpha - head with (1 + w)^(-shift) gives
+    from tamezeta import tame
+    from tamezeta.series import Poly, TruncSeries, recenter
+
+    desc, shift = BuiltinDescriptor("central-binomial"), 40
+    head = coeffs(desc, shift)
+    for order in (16, 256):  # a head longer and shorter than the series
+        with mp.workprec(900):
+            alpha1 = tame._central_binomial_at_one(order)
+            got = tame._shift_series_at_one(alpha1, head, order)
+            head1 = recenter(Poly([as_mpc(h) for h in head]), mpmath.mpf(1))
+            acc = alpha1 - TruncSeries(head1.coeffs, order, center=1)
+            ref = acc * tame._inverse_power_series(mpmath.mpf(0), shift, order, mpmath.mpf(1))
+            assert got.order == order and all(isinstance(c, mpmath.mpf) for c in got.coeffs)
+            # each form rounds terms of at most |head1| at 2^-900, which (1 + w)^(-shift)
+            # carries with coefficients of at most C(order + shift - 1, shift - 1)
+            scale = (order + 1) * binomial(order + shift - 1, shift - 1) * max(abs(c) for c in head1.coeffs)
+            assert max(abs(a - b) for a, b in zip(got.coeffs, ref.coeffs)) <= mpmath.mpf(2) ** -900 * scale
