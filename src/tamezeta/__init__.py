@@ -52,7 +52,6 @@ from .numeval import (
     SlowConvergenceError,
     continue_dirichlet,
     direct_sum,
-    gamma_complex,
     hasse_eval,
     hurwitz_oracle,
     incgamma_eval,

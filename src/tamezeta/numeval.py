@@ -63,7 +63,6 @@ __all__ = [
     "RegionError",
     "NearPoleError",
     "SlowConvergenceError",
-    "gamma_complex",
     "recip_gamma",
     "lower_gamma_star",
     "hurwitz_oracle",
@@ -131,91 +130,66 @@ def _result(value, method, truncation, tail, ctx, flags=(), exact=None, kind="ce
     )
 
 
+def _head_sum(cs, sc, tc, work) -> mpmath.mpc:
+    """sum_n cs[n] (t+n)^(-s), summed in ascending n at ``work`` bits; a
+    zero coefficient takes no power."""
+    acc = mpmath.mpc(0)
+    for n, a in enumerate(cs):
+        if a != 0:
+            acc += as_mpc(a, work) * (tc + n) ** (-sc)
+    return acc
+
+
 # ---------------------------------------------------------------------------
 # gamma machinery
 # ---------------------------------------------------------------------------
 
 
-def gamma_complex(s, prec: int | None = None) -> mpmath.mpc:
-    """Gamma(s) by argument promotion plus the Stirling asymptotic series.
-
-    The argument is promoted until its real part clears a precision-derived
-    threshold, where the divergent series bottoms out far below the target
-    accuracy."""
-    p = prec if prec is not None else mp.prec
-    work = p + 32
-    with mp.workprec(work):
-        z = as_mpc(s, work)
-        if z.imag == 0 and z.real == mpmath.floor(z.real) and z.real <= 0:
-            raise NearPoleError("Gamma pole at %s" % mpmath.nstr(z), pole=int(z.real))
-        r0 = max(16, int(0.13 * (work + 48)) + 2)
-        n = 0
-        if z.real < r0:
-            n = int(mpmath.ceil(r0 - z.real))
-        zz = z + n
-        acc = (zz - mpmath.mpf(1) / 2) * mpmath.log(zz) - zz + mpmath.log(2 * mpmath.pi) / 2
-        zpow = zz
-        z2 = zz * zz
-        k = 1
-        prev = mpmath.inf
-        while k <= work:
-            term = as_mpf(bernoulli_number(2 * k), work) / (2 * k * (2 * k - 1)) / zpow
-            mag = abs(term)
-            if mag < mpmath.mpf(2) ** (-work) * max(1, abs(acc)) or mag > prev:
-                break
-            acc += term
-            prev = mag
-            zpow *= z2
-            k += 1
-        g = mpmath.exp(acc)
-        for j in range(n):
-            g = g / (z + j)
-        return g
-
-
 def recip_gamma(s, prec: int | None = None) -> mpmath.mpc:
-    """1/Gamma(s); zero at the poles of Gamma."""
+    """1/Gamma(s) from :func:`mpmath.rgamma` at prec + 32 bits; zero at the
+    poles of Gamma."""
     p = prec if prec is not None else mp.prec
     with mp.workprec(p + 32):
-        z = as_mpc(s, p + 32)
-        if z.imag == 0 and z.real == mpmath.floor(z.real) and z.real <= 0:
-            return mpmath.mpc(0)
-        n = 0
-        if z.real < 1:
-            n = int(mpmath.ceil(1 - z.real)) + 1
-        out = 1 / gamma_complex(z + n, p + 32)
-        for j in range(n):
-            out = out * (z + j)
-        return out
+        return mpmath.rgamma(as_mpc(s, p + 32))
 
 
 def lower_gamma_star(s, z, prec: int | None = None) -> mpmath.mpc:
     """gamma*(s,z) = e^(-z) sum_k z^k / Gamma(s+k+1); entire in s."""
     p = prec if prec is not None else mp.prec
-    with mp.workprec(p + 32):
-        sc = as_mpc(s, p + 32)
-        return _gamma_star_series(sc, as_mpc(z, p + 32), recip_gamma(sc + 1, p + 32), p)
+    return _gamma_star_down(as_mpc(s, p + 32), z, 0, p)[0][0]
 
 
-def _gamma_star_series(sc, zc, term, p) -> mpmath.mpc:
-    """gamma*(s,z) from its first term 1/Gamma(s+1), at p + 32 bits."""
-    with mp.workprec(p + 32):
-        acc = mpmath.mpc(0)
-        k = 0
-        floor = mpmath.mpf(2) ** (-(p + 16))
-        kcap = 64 + 8 * int(abs(zc)) + p
-        while k <= kcap:
+def _gamma_star_down(sc, z, nh, prec):
+    """gamma*(s+n, z) for n = 0..nh, and 1/Gamma(s).
+
+    The series at n = nh, at prec + 32 bits from its first term
+    1/Gamma(s+nh+1), then downward at prec bits by gamma*(a, z) =
+    z gamma*(a+1, z) + e^(-z)/Gamma(a+1) (DLMF 8.8.1); the forward
+    recurrence subtracts and is unstable."""
+    with mp.workprec(prec + 32):
+        z = as_mpc(z, prec + 32)
+        a = sc + nh
+        rg = recip_gamma(a + 1, prec + 32)  # 1/Gamma(s+n+1) at n = nh
+        acc, term, k = mpmath.mpc(0), rg, 0
+        floor = mpmath.mpf(2) ** (-(prec + 16))
+        iz = int(abs(z))
+        while k <= 64 + 8 * iz + prec:
             acc += term
             k += 1
-            if sc + k == 0:
-                term = (zc**k) * recip_gamma(sc + k + 1, p + 32)
-            else:
-                term = term * zc / (sc + k)
+            # at a + k = 0 the ratio is 0/0; the term is z^k/Gamma(1)
+            term = z**k if a + k == 0 else term * z / (a + k)
             # relative floor: the value is tiny for large s, and a zero term
             # with acc = 0 (s a negative integer) must not stop the sum
-            if abs(term) < floor * abs(acc) and k > 4 + int(abs(zc)):
+            if k > 4 + iz and abs(term) < floor * abs(acc):
                 break
-        return mpmath.exp(-zc) * acc
+        ez = mpmath.exp(-z)
+        out = [ez * acc]
+    with mp.workprec(prec):
+        for n in range(nh - 1, -1, -1):
+            rg = rg * (sc + n + 1)
+            out.append(z * out[-1] + ez * rg)
+        out.reverse()
+        return out, rg * sc
 
 
 # ---------------------------------------------------------------------------
@@ -547,12 +521,7 @@ def _direct_attempt(desc, model, classes, sc, tc, plan, K, eps, work, ctx):
     m = model.period
     N, orders = plan
     N = max(N, len(model.poly_part.coeffs))
-    stream = coeffs(desc, N + 1, prec=work)
-    head = mpmath.mpc(0)
-    for n in range(N):
-        a = stream[n]
-        if a != 0:
-            head += as_mpc(a, work) * (tc + n) ** (-sc)
+    head = _head_sum(coeffs(desc, N, prec=work), sc, tc, work)
     tail = mpmath.mpc(0)
     bound = mpmath.mpf(0)
     used = N
@@ -755,10 +724,7 @@ def oracle_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
                 if g != 0:
                     pieces.append((r, i, g))
         # the polynomial part is a finite sum
-        acc = mpmath.mpc(0)
-        for n, g in enumerate(model.poly_part.coeffs):
-            if g != 0:
-                acc += as_mpc(g, work) * (tc + n) ** (-sc)
+        acc = _head_sum(model.poly_part.coeffs, sc, tc, work)
         piece_eps = eps / (2 * max(1, len(pieces)))
         bound = mpmath.mpf(0)
         used = 0
@@ -1225,23 +1191,22 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
         if tc <= 0:
             raise RegionError("t must be positive")
         eps = mpmath.mpf(ctx.target_eps)
-        nu = laurent_at_one(desc, 2, prec=work).nu
+        rep = analyze(desc, t if isinstance(t, (int, Fraction)) else tc, 0, prec=work)
+        nu = rep.nu
         flags = []
         extra_bits = 0
-        if nu:
-            rep = analyze(desc, t if isinstance(t, (int, Fraction)) else tc, 0, prec=work)
-            for n in range(1, nu + 1):
-                dist = abs(sc - n)
-                if dist < mpmath.sqrt(eps):
-                    if n in rep.pole_set:
-                        raise NearPoleError(
-                            "sigma within eps^(1/2) of the pole at %d" % n,
-                            pole=n,
-                            residue=rep.residues[n],
-                        )
-                    flags.append("near-removable:%d" % n)
-                if dist < 1:
-                    extra_bits = max(extra_bits, int(-mpmath.log(dist, 2)) + 8)
+        for n in range(1, nu + 1):
+            dist = abs(sc - n)
+            if dist < mpmath.sqrt(eps):
+                if n in rep.pole_set:
+                    raise NearPoleError(
+                        "sigma within eps^(1/2) of the pole at %d" % n,
+                        pole=n,
+                        residue=rep.residues[n],
+                    )
+                flags.append("near-removable:%d" % n)
+            if dist < 1:
+                extra_bits = max(extra_bits, int(-mpmath.log(dist, 2)) + 8)
         digits = int(mpmath.ceil(-mpmath.log10(eps)))
         shift = max(8, int(1.3 * digits) + 8 - int(mpmath.floor(tc)))
         hs = sigma - nu if isinstance(sigma, (int, Fraction)) else sc - nu
@@ -1265,12 +1230,7 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
         rising = mpmath.mpc(1)
         for j in range(nu):
             rising *= sc - nu + j
-        head = mpmath.mpc(0)
-        stream = coeffs(desc, shift, prec=work)
-        for n in range(shift):
-            a = stream[n]
-            if a != 0:
-                head += as_mpc(a, work) * (tc + n) ** (-sc)
+        head = _head_sum(coeffs(desc, shift, prec=work), sc, tc, work)
         sub_eps = float(eps / 8 * min(mpmath.mpf(1), abs(rising))) if nu else float(eps / 8)
         sub = ApproxContext(
             precision_bits=ctx.precision_bits + extra_bits + 32,
@@ -1308,8 +1268,9 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
     where psi_n are the Taylor coefficients of alpha(e^(-u)) at u=0 and
     eps = min(1, rho/2) for their convergence radius rho.  The head takes
     gamma*(s+nh, t eps) once and the rest by the downward recurrence
-    gamma*(a, z) = z gamma*(a+1, z) + e^(-z)/Gamma(a+1) (DLMF 8.8.1).  The
-    integrand evaluates alpha in closed form (:func:`tame.alpha_evaluator`).
+    gamma*(a, z) = z gamma*(a+1, z) + e^(-z)/Gamma(a+1) (DLMF 8.8.1), its
+    1/Gamma from :func:`mpmath.rgamma`, as is 1/Gamma(s) (:func:`recip_gamma`).
+    The integrand evaluates alpha in closed form (:func:`tame.alpha_evaluator`).
     The integral is cut at the least U whose remainder is certified small,
     and [eps, U] takes one tanh-sinh rule whose step and length
     :func:`_ts_plan` fixes before any integrand call, from the integrand's
@@ -1325,14 +1286,13 @@ def incgamma_eval(desc, s, t, ctx: ApproxContext) -> EvalResult:
         if tc <= 0:
             raise RegionError("t must be positive")
         eps = mpmath.mpf(ctx.target_eps)
-        laur = laurent_at_one(desc, 4, prec=work)
-        if laur.nu != 0:
-            raise RegionError("incomplete-gamma method needs a pole-free series (nu = 0)")
         rho = _exp_radius(desc, work)
         epsilon = min(mpmath.mpf(1), rho / 2)
         ratio = epsilon / rho
         nh = int(mpmath.ceil((eps_b + 16) * mpmath.log(2) / -mpmath.log(ratio))) + 8
         td = _incgamma_todd(desc, nh, work)
+        if td.nu != 0:
+            raise RegionError("incomplete-gamma method needs a pole-free series (nu = 0)")
         gstar, inv_gamma = _gamma_star_down(sc, tc * epsilon, nh, work + 16)
         head = mpmath.mpc(0)
         rising = mpmath.mpc(1)
@@ -1370,25 +1330,6 @@ def _incgamma_todd(desc, nh, work):
     from .bernoulli import todd_series
 
     return todd_series(laurent_at_one(desc, nh + 2, prec=work), nh)
-
-
-def _gamma_star_down(sc, z, nh, prec):
-    """gamma*(s+n, z) for n = 0..nh, and 1/Gamma(s).
-
-    One series value at n = nh, then downward; the forward recurrence
-    subtracts and is unstable.  The series starts from the same
-    1/Gamma(s+nh+1) that the recurrence does."""
-    with mp.workprec(prec):
-        rg = recip_gamma(sc + nh + 1, prec + 32)  # 1/Gamma(s+n+1) at n = nh
-        g = _gamma_star_series(sc + nh, as_mpc(z, prec + 32), rg, prec)
-        ez = mpmath.exp(-z)
-        out = [g]
-        for n in range(nh - 1, -1, -1):
-            rg = rg * (sc + n + 1)
-            g = z * g + ez * rg
-            out.append(g)
-        out.reverse()
-        return out, rg * sc
 
 
 def _exp_radius(desc, work):

@@ -75,10 +75,6 @@ class ApproxContext:
         """Internal working precision: requested bits plus guard bits."""
         return self.precision_bits + 32 + max(0, int(extra))
 
-    def eps(self) -> mpmath.mpf:
-        with mp.workprec(self.working_bits()):
-            return mpmath.mpf(self.target_eps)
-
 
 def as_mpf(x, prec: int | None = None) -> mpmath.mpf:
     """Convert an exact or floating scalar to ``mpf`` at ``prec`` bits."""

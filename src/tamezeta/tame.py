@@ -735,16 +735,14 @@ def _k_factor_poly(q, e: int):
     return Poly([powers[e - 1 - i] for i in range(e)])
 
 
-def build_multipower(
-    desc, plan: SingularityPlan | None = None, order: int = 64, prec: int | None = None
-) -> MultiPowerExpansion:
+def build_multipower(desc, *, order: int = 64, prec: int | None = None) -> MultiPowerExpansion:
     """Product-form multi-power expansion of (-ln z)^nu * alpha(z) around 1.
 
     Rational descriptors produce exact coefficients (cyclotomic ones over
     Q(zeta)); builtins, non-rational Lerch factors and rational data with an
     irrational pole produce floating data.
     """
-    return build_shifted_multipower(desc, 0, plan=plan, order=order, prec=prec)
+    return build_shifted_multipower(desc, 0, order=order, prec=prec)
 
 
 def shifted_rational(rf: RationalFn, head: list, m: int) -> RationalFn:
@@ -762,7 +760,7 @@ def shifted_rational(rf: RationalFn, head: list, m: int) -> RationalFn:
 def build_shifted_multipower(
     desc,
     shift: int,
-    plan: SingularityPlan | None = None,
+    *,
     order: int = 64,
     prec: int | None = None,
 ) -> MultiPowerExpansion:
@@ -776,24 +774,10 @@ def build_shifted_multipower(
     :func:`_assemble` from the Mittag-Leffler data of alpha_shift at z=1.
     """
     p = prec if prec is not None else mp.prec
-    if plan is None:
-        plan = plan_exponents(desc, prec=p)
-    _check_plan_radii(plan, p)
+    plan = plan_exponents(desc, prec=p)
     with mp.workprec(p):
         nu, ks, regular, poles = _mittag_leffler(desc, shift, plan.singularities, plan.field_order, order)
         return _assemble(nu, ks, regular, poles, order)
-
-
-def _check_plan_radii(plan: SingularityPlan, prec: int) -> None:
-    """Refuse plans whose per-variable expansion radius misses the margin."""
-    p = max(prec, 64)
-    for sing in plan.singularities:
-        margin = _abs_one_minus_qe(sing, sing.e, p)
-        if margin < as_mpf(1 + Fraction(plan.delta), p):
-            raise NotTameError(
-                "per-variable radius check failed: |1 - q^%d| = %s < 1 + %s for q near %r"
-                % (sing.e, mpmath.nstr(margin, 8), plan.delta, sing.value)
-            )
 
 
 def _mittag_leffler(desc, shift: int, sings: tuple, field_order: int, order: int):
@@ -834,11 +818,11 @@ def _mittag_leffler(desc, shift: int, sings: tuple, field_order: int, order: int
             if shift:
                 reg = _shift_series_at_one(reg, head, order)
             return 0, (), list(reg.coeffs), []
-        return _zeta_even_data(shift, head, sings, order)
+        return _zeta_even_data(desc, shift, head, sings, order)
     raise TypeError("unknown descriptor %r" % (desc,))
 
 
-def _zeta_even_data(shift: int, head: list, sings: tuple, order: int):
+def _zeta_even_data(desc, shift: int, head: list, sings: tuple, order: int):
     """Mittag-Leffler data of the shifted even-zeta series.
 
     alpha(z) = k1/(z-1) + c2/(z-2) + g(z) with k1 = c2 = -1/2 and
@@ -848,9 +832,11 @@ def _zeta_even_data(shift: int, head: list, sings: tuple, order: int):
     """
     half = -mpmath.mpf(1) / 2  # k1 = c2
     n = order + 1
+    # a_(j+1) = zeta(j+1) at odd j, the coefficient stream at the ambient bits
+    stream = coeffs(desc, n + 1, prec=mp.prec)
     g = [mpmath.mpf(0)] * (n + 1)
     for j in range(1, n + 1, 2):
-        g[j] = _zeta_even_coefficient(j + 1, mp.prec) - 1
+        g[j] = stream[j] - 1
     reg = TruncSeries(g, n, center=1)
     if shift:
         # regular part of (alpha - head)/z^shift at 1+w: k1 (1+w)^(-shift)/w

@@ -2,12 +2,21 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction as F
 
+import mpmath
 import pytest
 
 from tamezeta.cli import EXIT_INVALID, EXIT_NUMERIC, EXIT_OK, build_parser, canonical_dumps, descriptor_from_args, main
 from tamezeta.catalog import catalog_descriptor
-from tamezeta.tame import CharacterDescriptor, EhrhartDescriptor, LerchDescriptor
+from tamezeta.tame import (
+    BarnesDescriptor,
+    BuiltinDescriptor,
+    CharacterDescriptor,
+    EhrhartDescriptor,
+    LerchDescriptor,
+    RationalDescriptor,
+)
 
 
 def _run(argv):
@@ -248,6 +257,33 @@ def test_desc_file_catalog_parameters_match_the_flags(tmp_path):
         # the parameters reach the descriptor instead of the catalog defaults
         assert from_flags != catalog_descriptor(name), name
         assert from_file == from_flags, name
+
+
+@pytest.mark.parametrize(
+    "body, want",
+    [
+        ("kind = rational\nnum = 1 2\nden = 1, -1/2", RationalDescriptor((1, 2), (1, F(-1, 2)))),
+        ("kind = character\nmodulus = 4\nchi = 1,0,-1,0\npower = 2", CharacterDescriptor(4, (1, 0, -1, 0), 2)),
+        ("kind = lerch\nw = 1/3", LerchDescriptor(F(1, 3))),
+        ("kind = lerch\nw = 0.5+0.25i", LerchDescriptor(mpmath.mpc(0.5, 0.25))),
+        ("kind = barnes\na = 1 2", BarnesDescriptor((1, 2))),
+        ("kind = ehrhart\ng = 1,4,1\np = 2\nd = 3", EhrhartDescriptor((1, 4, 1), 2, 3)),
+        ("kind = builtin\nname = central-binomial", BuiltinDescriptor("central-binomial")),
+        (None, "cannot read"),
+        ("[other]\nkind = rational", "needs a \\[descriptor\\] section"),
+        ("kind = hypergeometric", "unknown descriptor kind"),
+    ],
+)
+def test_desc_file_kinds_and_errors(tmp_path, body, want):
+    cfg = tmp_path / "desc.cfg"
+    if body is not None:
+        cfg.write_text(body if body.startswith("[") else "[descriptor]\n" + body + "\n")
+    args = build_parser().parse_args(["analyze", "--desc-file", str(cfg)])
+    if isinstance(want, str):
+        with pytest.raises(ValueError, match=want):
+            descriptor_from_args(args)
+    else:
+        assert descriptor_from_args(args) == want
 
 
 def test_output_file(tmp_path):

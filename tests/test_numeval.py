@@ -19,7 +19,6 @@ from tamezeta.numeval import (
     SlowConvergenceError,
     continue_dirichlet,
     direct_sum,
-    gamma_complex,
     hasse_eval,
     hurwitz_oracle,
     incgamma_eval,
@@ -48,18 +47,6 @@ CTX = ApproxContext()
 GEO = catalog_descriptor("hurwitz")
 ETA = catalog_descriptor("eta")
 BARNES = catalog_descriptor("barnes")
-
-
-def test_gamma_examples():
-    assert agree_within(gamma_complex(1, 160), 1, 1e-40)
-    assert agree_within(gamma_complex(5, 160), 24, 1e-40)
-    with mp.workprec(200):
-        assert agree_within(gamma_complex(F(1, 2), 160), mpmath.sqrt(mpmath.pi), 1e-40)
-        # independent high-precision library value at a complex point
-        z = mpmath.mpc(0.5, 2)
-        assert agree_within(gamma_complex(z, 160), mpmath.gamma(z), 1e-40)
-    with pytest.raises(NearPoleError):
-        gamma_complex(-3, 160)
 
 
 def test_recip_gamma_zeros():

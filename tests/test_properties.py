@@ -430,16 +430,6 @@ def test_float_t0_degrades_to_threshold_zero_tests():
     assert rep.removable and rep.removable[0][0] == 1
 
 
-def test_gamma_large_imaginary():
-    from tamezeta.numeval import gamma_complex
-
-    with mp.workprec(220):
-        z = mpmath.mpc(1, 40)
-        assert agree_within(gamma_complex(z, 160), mpmath.gamma(z), 1e-35)
-        z2 = mpmath.mpc(-5.5, 12)
-        assert agree_within(gamma_complex(z2, 160), mpmath.gamma(z2), 1e-35)
-
-
 def test_continuation_far_off_axis():
     from tamezeta.numeval import hurwitz_oracle
 

@@ -285,23 +285,6 @@ def test_shifted_multipower_matches_shifted_alpha():
             assert agree_within(val, ref, 1e-20), (label, val, ref)
 
 
-def test_build_refuses_insufficient_exponent():
-    from tamezeta.tame import Singularity, SingularityPlan
-
-    desc = LerchDescriptor(F(1, 2))
-    plan = plan_exponents(desc, prec=128)
-    bad = SingularityPlan(
-        tuple(
-            Singularity(s.value, s.multiplicity, s.exact, s.root_of_unity, 1)
-            for s in plan.singularities
-        ),
-        plan.delta,
-        plan.field_order,
-    )
-    with pytest.raises(NotTameError):
-        build_multipower(desc, plan=bad, order=8)
-
-
 def test_character_descriptor_validation():
     with pytest.raises(ValueError):
         CharacterDescriptor(3, (1, -1))
