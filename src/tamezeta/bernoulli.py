@@ -35,28 +35,47 @@ __all__ = [
 ]
 
 
-@lru_cache(maxsize=None)
 def stirling2(n: int, k: int) -> int:
     """Stirling number of the second kind S(n, k); 0 outside 0 <= k <= n."""
-    if n < 0 or k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return k * stirling2(n - 1, k) + stirling2(n - 1, k - 1)
+    v = _STIRLING2.get((n, k))
+    return v if v is not None else _triangle(_STIRLING2, n, k, lambda m, j: j)
 
 
-@lru_cache(maxsize=None)
 def stirling1_signed(n: int, k: int) -> int:
     """Signed Stirling numbers of the first kind s(n, k).
 
     Defined by x(x-1)...(x-n+1) = sum_k s(n,k) x^k; they invert the
     second-kind transform: sum_k s(n,k) S(k,m) = delta(n,m).
     """
-    if n < 0 or k < 0 or k > n:
-        return 0
-    if n == 0:
-        return 1 if k == 0 else 0
-    return stirling1_signed(n - 1, k - 1) - (n - 1) * stirling1_signed(n - 1, k)
+    v = _STIRLING1.get((n, k))
+    return v if v is not None else _triangle(_STIRLING1, n, k, lambda m, j: 1 - m)
+
+
+# the entries (m, j), 1 <= j <= m, filled so far: every one is nonzero
+_STIRLING2 = {(0, 0): 1}
+_STIRLING1 = {(0, 0): 1}
+
+
+def _triangle(table: dict, n: int, k: int, weight) -> int:
+    """T(n, k) of T(m, j) = T(m-1, j-1) + weight(m, j) T(m-1, j), T(0, 0) = 1.
+
+    A missing entry fills rows upward in m, each to column min(m, k), from
+    the highest row already filled that far, so nothing recurses.  Each row
+    fills in ascending j, so (m, j) in ``table`` implies (m, 1..j) are, and
+    an entry is written only from entries already there, always with the
+    same value."""
+    if k <= 0 or k > n:
+        return int(n == k == 0)
+    low = n - 1
+    while (low, min(low, k)) not in table:
+        low -= 1
+    for m in range(low + 1, n + 1):
+        top = j = min(m, k)
+        while j > 0 and (m, j) not in table:
+            j -= 1
+        for j in range(j + 1, top + 1):
+            table[m, j] = table.get((m - 1, j - 1), 0) + weight(m, j) * table.get((m - 1, j), 0)
+    return table[n, k]
 
 
 @lru_cache(maxsize=None)

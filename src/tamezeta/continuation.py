@@ -92,47 +92,27 @@ def analyze_from_laurent(
         td = todd_series(laur, order)
         warnings: list = []
         polys = tuple(bernoulli_poly(td, n) for n in range(order + 1))
-        if nu == 0:
-            values = tuple(polys[n](t0) for n in range(value_count + 1)) if licensed else ()
-            return ContinuationReport(
-                nu=0,
-                t0=t0,
-                pole_set=(),
-                residues={},
-                special_values=values,
-                values_licensed=licensed,
-                genericity="generic",
-                witness=(),
-                removable=(),
-                warnings=tuple(warnings),
-                bernoulli=polys,
-            )
-        centered = recenter(polys[nu - 1], t0)
-        # p_n multiplies (t-t0)^(n-1)
-        pvals = {n: centered.coefficient(n - 1) for n in range(1, nu + 1)}
         pole_set = []
         residues = {}
         removable = []
-        fact = factorial(nu - 1)
-        for n in range(1, nu + 1):
-            pn = pvals[n]
-            if _is_zero(pn, kind, p, warnings, "p_%d" % n):
-                removable.append(
-                    (
-                        n,
-                        "B[%d](t0) = 0; t0 is a critical point of B[%d]" % (nu - n, nu - n + 1),
-                    )
-                )
-                continue
-            pole_set.append(n)
-            res = pn * Fraction((-1) ** (nu + n), fact)
-            residues[n] = res
-        genericity, witness = _classify(polys[nu - 1], nu, t0, kind, p, warnings)
+        genericity, witness = "generic", ()
+        if nu:
+            # p_n multiplies (t-t0)^(n-1)
+            centered = recenter(polys[nu - 1], t0)
+            fact = factorial(nu - 1)
+            for n in range(1, nu + 1):
+                pn = centered.coefficient(n - 1)
+                if _is_zero(pn, kind, p, warnings, "p_%d" % n):
+                    removable.append((n, "B[%d](t0) = 0; t0 is a critical point of B[%d]" % (nu - n, nu - n + 1)))
+                    continue
+                pole_set.append(n)
+                residues[n] = pn * Fraction((-1) ** (nu + n), fact)
+            genericity, witness = _classify(polys[nu - 1], nu, t0, kind, p, warnings)
         values = ()
         if licensed:
             sign = (-1) ** nu
             values = tuple(
-                polys[nu + n](t0) * Fraction(sign * factorial(n), factorial(nu + n))
+                polys[nu + n](t0) * Fraction(sign * factorial(n), factorial(nu + n)) if nu else polys[n](t0)
                 for n in range(value_count + 1)
             )
         return ContinuationReport(
@@ -167,16 +147,8 @@ def classify_argument(desc, t0, prec: int | None = None):
     Returns ("generic", ()) or ("special", witness) where witness lists the
     derivative orders of B[nu-1] vanishing at t0.
     """
-    p = prec if prec is not None else mp.prec
-    laur = laurent_at_one(desc, 2, prec=p)
-    if laur.nu == 0:
-        return "generic", ()
-    kind = laur.kind if isinstance(t0, (int, Fraction)) else "approx"
-    with mp.workprec(p):
-        td = todd_series(laur, laur.nu)
-        bp = bernoulli_poly(td, laur.nu - 1)
-        warnings: list = []
-        return _classify(bp, laur.nu, t0, kind, p, warnings)
+    rep = analyze(desc, t0, 0, prec=prec)
+    return rep.genericity, rep.witness
 
 
 def analyze_split(laur: LaurentAtOne, t0, value_count: int, prec: int | None = None) -> ContinuationReport:

@@ -104,9 +104,10 @@ class EvalResult:
     tail_bound: object
     flags: tuple = ()
     exact_value: object = None  # set when the evaluation terminated exactly
-    # "certified": tail_bound bounds the error; "estimated": it only
-    # estimates it (direct_sum's unit-circle Lerch tail stops on an
-    # envelope read off its last term)
+    # tail_bound bounds the error of value as rounded to its bits (0 for a
+    # result carrying exact_value); "certified": it bounds the error;
+    # "estimated": it only estimates it (direct_sum's unit-circle Lerch tail
+    # stops on an envelope read off its last term)
     bound_kind: str = "certified"
 
     def mpc(self) -> mpmath.mpc:
@@ -119,15 +120,16 @@ def _eps_bits(ctx: ApproxContext) -> int:
 
 
 def _result(value, method, truncation, tail, ctx, flags=(), exact=None, kind="certified") -> EvalResult:
-    return EvalResult(
-        BigComplex(value, prec=ctx.precision_bits),
-        method,
-        truncation,
-        tail,
-        tuple(flags),
-        exact,
-        kind,
-    )
+    """The result for ``value``, whose error before rounding ``tail`` bounds.
+
+    The value keeps an absolute 2^(1-P) per component, P = ctx.precision_bits,
+    at P + max(0, mag(value) - 1) bits (P bits for |value| < 2), and the
+    bound adds 2^(2-P) for that rounding; a result carrying its exact value
+    keeps its bound."""
+    bits = ctx.precision_bits + max(0, mpmath.mag(value) - 1)
+    if exact is None:
+        tail = tail + mpmath.mpf(2) ** (2 - ctx.precision_bits)
+    return EvalResult(BigComplex(value, prec=bits), method, truncation, tail, tuple(flags), exact, kind)
 
 
 def _head_sum(cs, sc, tc, work) -> mpmath.mpc:
@@ -1035,8 +1037,9 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     min(mpx.order, max(n, 16)), summed in ascending sigma (ValueError for
     mpx.order < n).  Exact data and a rational t give an exact Fraction;
     otherwise the weights and the sum are mpc at max(order, n) + 64 guard
-    bits, raised once if the terms cancel beyond them, and the value keeps
-    an absolute 2^-precision_bits, as a caller may cancel it against a head.
+    bits, raised once if the terms cancel beyond them; the value is rounded
+    to an absolute accuracy (:func:`_result`), as a caller may cancel it
+    against a head.
 
     Otherwise one truncation order M is planned before any power is taken.
     The Laplace-Mellin form Delta^i t^(-s) = Gamma(s)^(-1) int_0^oo x^(s-1)
@@ -1052,8 +1055,8 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
     outgrow it), so that every table a point reads was built by the deepest
     point before it, and :func:`_cached_weights` builds all rungs up to a
     missing one in one pass.  The reported bound is the truncation bound
-    plus the rounding of the weights and of the sum, and the value keeps an
-    absolute 2^-precision_bits.  The coefficients up to mpx.order enter the
+    plus the rounding of the weights, of the sum and of the returned value
+    (:func:`_result`).  The coefficients up to mpx.order enter the
     bound exactly; past it they are taken to stay below twice the largest of
     its last half times (n/order)^(nu+1), which covers the growth the
     (-ln z)^nu factor allows and the geometric decay of the pole factors.
@@ -1096,13 +1099,11 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
                     val += term
                     size += abs(term)
                 # the weights hold about work - order bits (see shift_weights)
-                # of terms as large as size; the value is rounded to an
-                # absolute 2^-precision_bits
-                bound = mpmath.mpf(2) ** (-ctx.precision_bits) + size * mpmath.mpf(2) ** (order - work)
-            if bound <= eps:
-                bits = ctx.precision_bits + max(0, mpmath.mag(val))
-                return EvalResult(BigComplex(val, prec=bits), "hasse-exact", n, bound)
-            guard += int(mpmath.mag(bound / eps)) + 2
+                # of terms as large as size
+                res = _result(val, "hasse-exact", n, size * mpmath.mpf(2) ** (order - work), ctx)
+            if res.tail_bound <= eps:
+                return res
+            guard += int(mpmath.mag(res.tail_bound / eps)) + 2
         raise SlowConvergenceError("operator sum at s = -%d cancels beyond its guard bits" % n)
     eps_b = _eps_bits(ctx)
     plan = _tail_plan(mpx)
@@ -1144,10 +1145,8 @@ def hasse_eval(mpx: MultiPowerExpansion, s, t, ctx: ApproxContext) -> EvalResult
             two ** log2_trunc[pick]
             + count_s * two ** (log2_s - work)
             + count_w * two ** (log2_v + log2_pow - weight_bits)
-            + two ** (1 - ctx.precision_bits)
         )
-    bits = ctx.precision_bits + max(0, mpmath.mag(val))
-    return EvalResult(BigComplex(val, prec=bits), "hasse", M, bound)
+        return _result(val, "hasse", M, bound, ctx)
 
 
 def _log2_abs_pow(s: complex, t: complex, sigma) -> float:
@@ -1170,7 +1169,9 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
     with an index shift m that turns the n^(-t) operator-term decay into
     n^(-t-m).  Fails with the residue attached when sigma is within
     sqrt(eps) of a genuine pole of D(., t); near a removable candidate the
-    evaluation proceeds at elevated precision and flags the result.  At an
+    evaluation proceeds at elevated precision and flags the result, and at
+    the candidate itself, where the operator route divides by a zero rising
+    factorial, it fails with residue 0.  At an
     integer sigma <= nu the operator series terminates, and the shifted
     expansion is built only to the order hasse_eval reads there,
     max(nu - sigma, 16).  Elsewhere :func:`hasse_eval` sums one planned
@@ -1203,6 +1204,12 @@ def continue_dirichlet(desc, sigma, t, ctx: ApproxContext) -> EvalResult:
                         "sigma within eps^(1/2) of the pole at %d" % n,
                         pole=n,
                         residue=rep.residues[n],
+                    )
+                if dist == 0:
+                    raise NearPoleError(
+                        "sigma = %d is a removable candidate, where the operator route divides by zero" % n,
+                        pole=n,
+                        residue=0,
                     )
                 flags.append("near-removable:%d" % n)
             if dist < 1:

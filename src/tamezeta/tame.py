@@ -82,7 +82,10 @@ class NotTameError(ValueError):
 
 @dataclass(frozen=True)
 class RationalDescriptor:
-    """alpha(z) = num(z)/den(z) with rational coefficients (ascending)."""
+    """alpha(z) = num(z)/den(z) with rational coefficients (ascending).
+
+    The character, Barnes and Ehrhart families are rational functions with a
+    cyclotomic denominator, and their constructors below build this."""
 
     num: tuple
     den: tuple
@@ -92,31 +95,6 @@ class RationalDescriptor:
         object.__setattr__(self, "den", tuple(Fraction(c) for c in self.den))
         if not any(c != 0 for c in self.den):
             raise ValueError("zero denominator")
-
-
-@dataclass(frozen=True)
-class CharacterDescriptor:
-    """alpha(z) = (sum_i chi(i) z^(i-1)) / (1 - z^k)^q for a mod-k character."""
-
-    modulus: int
-    values: tuple
-    power: int = 1
-
-    def __post_init__(self):
-        if self.modulus < 1 or len(self.values) != self.modulus:
-            raise ValueError("need chi(1..k) for modulus k")
-        if self.power < 1:
-            raise ValueError("power must be >= 1")
-        vals = []
-        for v in self.values:
-            if isinstance(v, float):
-                v = Fraction(v)
-            if not isinstance(v, (int, Fraction)):
-                # complex-valued characters would need field coefficients in
-                # every exact layer; only rational values are supported
-                raise ValueError("character values must be rational")
-            vals.append(Fraction(v))
-        object.__setattr__(self, "values", tuple(vals))
 
 
 @dataclass(frozen=True)
@@ -134,34 +112,45 @@ class LerchDescriptor:
         object.__setattr__(self, "exact", isinstance(self.w, (int, Fraction)))
 
 
-@dataclass(frozen=True)
-class BarnesDescriptor:
+def _one_minus_powers(ks) -> Poly:
+    """prod_k (1 - z^k) over the exponents ks, repeats included."""
+    out = Poly([Fraction(1)])
+    for k in ks:
+        out = out * Poly([Fraction(1)] + [Fraction(0)] * (k - 1) + [Fraction(-1)])
+    return out
+
+
+def CharacterDescriptor(modulus: int, values, power: int = 1) -> RationalDescriptor:
+    """alpha(z) = (sum_i chi(i) z^(i-1)) / (1 - z^k)^q for a mod-k character."""
+    if modulus < 1 or len(values) != modulus:
+        raise ValueError("need chi(1..k) for modulus k")
+    if power < 1:
+        raise ValueError("power must be >= 1")
+    if not all(isinstance(v, (int, float, Fraction)) for v in values):
+        # complex-valued characters would need field coefficients in every
+        # exact layer; only rational values are supported
+        raise ValueError("character values must be rational")
+    return RationalDescriptor(tuple(values), _one_minus_powers([modulus] * power).coeffs)
+
+
+def BarnesDescriptor(a) -> RationalDescriptor:
     """alpha(z) = prod_i 1/(1 - z^(a_i)) for positive integers a_i."""
-
-    a: tuple
-
-    def __post_init__(self):
-        a = tuple(int(x) for x in self.a)
-        if not a or any(x < 1 for x in a):
-            raise ValueError("a must be a nonempty tuple of positive integers")
-        object.__setattr__(self, "a", a)
+    a = tuple(int(x) for x in a)
+    if not a or any(x < 1 for x in a):
+        raise ValueError("a must be a nonempty tuple of positive integers")
+    return RationalDescriptor((1,), _one_minus_powers(a).coeffs)
 
 
-@dataclass(frozen=True)
-class EhrhartDescriptor:
+def EhrhartDescriptor(g, p: int, d: int) -> RationalDescriptor:
     """alpha(z) = (Ehr(z) - 1)/z with Ehr(z) = g(z)/(1 - z^p)^(d+1), g(0)=1."""
-
-    g: tuple
-    p: int
-    d: int
-
-    def __post_init__(self):
-        g = tuple(Fraction(c) for c in self.g)
-        if not g or g[0] != 1:
-            raise ValueError("g must have constant term 1")
-        if self.p < 1 or self.d < 0:
-            raise ValueError("need p >= 1 and d >= 0")
-        object.__setattr__(self, "g", g)
+    g = tuple(Fraction(c) for c in g)
+    if not g or g[0] != 1:
+        raise ValueError("g must have constant term 1")
+    if p < 1 or d < 0:
+        raise ValueError("need p >= 1 and d >= 0")
+    den = _one_minus_powers([p] * (d + 1))
+    # Ehr - 1 over the common denominator has a zero constant term, as g(0) = 1
+    return RationalDescriptor((Poly(g) - den).coeffs[1:], den.coeffs)
 
 
 @dataclass(frozen=True)
@@ -184,76 +173,17 @@ def as_rational_fn(desc) -> RationalFn | None:
     """Exact rational form of the descriptor, when it has one."""
     if isinstance(desc, RationalDescriptor):
         return RationalFn(Poly(desc.num), Poly(desc.den))
-    if isinstance(desc, CharacterDescriptor):
-        if not all(isinstance(v, (int, Fraction)) for v in desc.values):
-            return None
-        num = Poly([Fraction(v) for v in desc.values])
-        den_base = Poly([Fraction(1)] + [Fraction(0)] * (desc.modulus - 1) + [Fraction(-1)])
-        den = Poly([Fraction(1)])
-        for _ in range(desc.power):
-            den = den * den_base
-        return RationalFn(num, den)
-    if isinstance(desc, LerchDescriptor):
-        if desc.exact:
-            return RationalFn(Poly([Fraction(1)]), Poly([Fraction(1), -Fraction(desc.w)]))
-        return None
-    if isinstance(desc, BarnesDescriptor):
-        den = Poly([Fraction(1)])
-        for ai in desc.a:
-            den = den * Poly([Fraction(1)] + [Fraction(0)] * (ai - 1) + [Fraction(-1)])
-        return RationalFn(Poly([Fraction(1)]), den)
-    if isinstance(desc, EhrhartDescriptor):
-        den_base = Poly([Fraction(1)] + [Fraction(0)] * (desc.p - 1) + [Fraction(-1)])
-        den = Poly([Fraction(1)])
-        for _ in range(desc.d + 1):
-            den = den * den_base
-        num = Poly(desc.g) - den  # Ehr - 1 over the common denominator
-        # alpha = (Ehr - 1)/z: numerator divisible by z
-        if num.coefficient(0) != 0:
-            raise AssertionError("Ehrhart numerator lost its unit constant term")
-        num = Poly(num.coeffs[1:])
-        return RationalFn(num, den)
+    if isinstance(desc, LerchDescriptor) and desc.exact:
+        return RationalFn(Poly([Fraction(1)]), Poly([Fraction(1), -Fraction(desc.w)]))
     return None
-
-
-def _zeta_even_coefficient(n: int, prec: int):
-    """a_n for the even-zeta series: zeta(n) for even n >= 2, else 0.
-
-    Small n uses the exact Bernoulli formula; for large n the defining sum
-    zeta(n) = sum k^-n converges geometrically and needs only ~prec/n terms
-    (the Bernoulli route would drag factorially large rationals around).
-    """
-    if n < 2 or n % 2:
-        return mpmath.mpf(0)
-    with mp.workprec(prec):
-        if n >= 64:
-            acc = mpmath.mpf(1)
-            k = 2
-            while True:
-                term = mpmath.mpf(k) ** (-n)
-                acc += term
-                if term < mpmath.mpf(2) ** (-prec - 8):
-                    break
-                k += 1
-            return acc
-        from .bernoulli import bernoulli_number
-
-        m = n // 2
-        rat = (
-            Fraction((-1) ** (m + 1), 2)
-            * Fraction(2**n)
-            / Fraction(factorial(n))
-            * bernoulli_number(n)
-        )
-        return as_mpf(rat, prec) * mpmath.pi**n
 
 
 def coeffs(desc, count: int, prec: int | None = None) -> list:
     """First ``count`` Taylor coefficients a_1..a_count of alpha at 0.
 
     Exact for rational-style descriptors (linear recurrence from the
-    denominator); builtins use their coefficient rule, the even-zeta one at
-    ``prec`` bits.
+    denominator); builtins use their coefficient rule, the even-zeta one
+    ``mpmath.zeta`` at ``prec`` bits.
     """
     p = prec if prec is not None else mp.prec
     cached = _coeffs_cached(desc, _pow2_at_least(count), p)
@@ -338,8 +268,9 @@ def _coeffs_impl(desc, count: int, prec: int | None = None) -> list:
     if isinstance(desc, BuiltinDescriptor):
         if desc.name == "central-binomial":
             return [Fraction(1, binomial(2 * n + 2, n + 1)) for n in range(count)]
-        p = prec if prec is not None else mp.prec
-        return [_zeta_even_coefficient(n + 1, p) for n in range(count)]
+        # a_(n+1) = zeta(n+1) at even n+1, else 0
+        with mp.workprec(prec if prec is not None else mp.prec):
+            return [mpmath.zeta(n + 1) if n % 2 else mpmath.mpf(0) for n in range(count)]
     raise TypeError("unknown descriptor %r" % (desc,))
 
 
@@ -475,7 +406,6 @@ class Singularity:
 @dataclass(frozen=True)
 class SingularityPlan:
     singularities: tuple
-    delta: Fraction
     field_order: int = 1  # lcm of root-of-unity orders involved (1 = plain Q)
 
 
@@ -664,7 +594,7 @@ def plan_exponents(desc, prec: int | None = None) -> SingularityPlan:
         planned.append(Singularity(s.value, s.multiplicity, s.exact, s.root_of_unity, e))
         if s.root_of_unity is not None:
             field_order = field_order * s.root_of_unity[1] // gcd(field_order, s.root_of_unity[1])
-    return SingularityPlan(tuple(planned), DEFAULT_MARGIN, field_order)
+    return SingularityPlan(tuple(planned), field_order)
 
 
 # ---------------------------------------------------------------------------

@@ -49,6 +49,49 @@ def test_stirling1_from_falling_factorial():
     assert stirling1_signed(3, 1) == 2
 
 
+def test_stirling_rows_far_beyond_the_recursion_limit():
+    assert stirling2(5000, 3) == (3**5000 - 3 * 2**5000 + 3) // 6
+    assert stirling1_signed(5000, 1) == -factorial(4999)
+
+
+def test_stirling_table_fills_alike_across_threads():
+    # a table entry is written only from entries already there, always with
+    # the same value, so threads filling one table in any order agree with a
+    # lone fill
+    import random
+    import sys
+    import threading
+
+    from tamezeta.bernoulli import _triangle
+
+    def weight(m, j):
+        return j
+
+    queries = [(n, k) for n in range(0, 160, 3) for k in range(0, n + 2, 4)]
+    alone = {(0, 0): 1}
+    want = {q: _triangle(alone, *q, weight) for q in queries}
+    shared, wrong = {(0, 0): 1}, []
+
+    def fill(seed):
+        order = queries[:]
+        random.Random(seed).shuffle(order)
+        wrong.extend(q for q in order if _triangle(shared, *q, weight) != want[q])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(seed,)) for seed in range(6)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert not wrong
+    assert shared == alone
+
+
 def test_stirling_inversion_identity():
     for n in range(9):
         for m in range(9):

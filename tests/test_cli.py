@@ -189,6 +189,15 @@ def test_near_pole_row_flagged_exit_zero():
     assert row["residue"] == "1"
 
 
+def test_removable_candidate_row_exit_zero():
+    # barnes at t0 = 1: s = 1 is removable, and the operator route cannot divide there
+    code, out = _run(["eval", "--catalog", "barnes", "--s", "1", "--t0", "1"])
+    assert code == EXIT_OK
+    row = json.loads(out)["rows"][0]
+    assert row["flags"] == "near-pole"
+    assert row["residue"] == "0"
+
+
 def test_not_tame_exit_two():
     code, _ = _run(["analyze", "--num", "1", "--den", "1,-2", "--t0", "1"])
     assert code == EXIT_INVALID
@@ -239,11 +248,15 @@ def test_desc_file(tmp_path):
 
 def test_desc_file_catalog_parameters_match_the_flags(tmp_path):
     cases = (
-        ("dirichletL", {"modulus": "5", "chi": "1,-1,-1,1,0", "power": "2"}, CharacterDescriptor),
-        ("lerch", {"w": "1/3"}, LerchDescriptor),
-        ("ehrhart", {"g": "1,4,1", "p": "2", "d": "3"}, EhrhartDescriptor),
+        (
+            "dirichletL",
+            {"modulus": "5", "chi": "1,-1,-1,1,0", "power": "2"},
+            CharacterDescriptor(5, (1, -1, -1, 1, 0), 2),
+        ),
+        ("lerch", {"w": "1/3"}, LerchDescriptor(F(1, 3))),
+        ("ehrhart", {"g": "1,4,1", "p": "2", "d": "3"}, EhrhartDescriptor((1, 4, 1), 2, 3)),
     )
-    for name, params, kind in cases:
+    for name, params, want in cases:
         flags = ["analyze", "--catalog", name]
         lines = ["[descriptor]", "kind = catalog", "name = " + name]
         for key, text in params.items():
@@ -253,7 +266,7 @@ def test_desc_file_catalog_parameters_match_the_flags(tmp_path):
         cfg.write_text("\n".join(lines) + "\n")
         from_flags = descriptor_from_args(build_parser().parse_args(flags))
         from_file = descriptor_from_args(build_parser().parse_args(["analyze", "--desc-file", str(cfg)]))
-        assert isinstance(from_flags, kind)
+        assert from_flags == want, name
         # the parameters reach the descriptor instead of the catalog defaults
         assert from_flags != catalog_descriptor(name), name
         assert from_file == from_flags, name

@@ -253,6 +253,15 @@ def test_continue_near_pole_carries_residue():
     assert exc.value.residue == 1
 
 
+def test_continue_at_a_removable_candidate_raises_with_residue_zero():
+    # Barnes at t0 = 1 has a removable candidate at sigma = 1, where the
+    # operator route divides by a zero rising factorial
+    for s in (F(1), 1, mpmath.mpc(1, 0)):
+        with pytest.raises(NearPoleError, match="divides by zero") as exc:
+            continue_dirichlet(BARNES, s, 1, CTX)
+        assert exc.value.pole == 1 and exc.value.residue == 0, s
+
+
 def test_continue_near_removable_is_flagged():
     # Barnes at t0=1 has a removable candidate at sigma=1
     r = continue_dirichlet(BARNES, 1 + mpmath.mpf(1e-14), 1, CTX)
@@ -1122,3 +1131,30 @@ def test_integer_s_below_the_expansion_order_raises():
             hasse_eval(mpx, -n, F(1, 2), CTX)
         deeper = build_multipower(GEO, order=n)
         assert hasse_eval(mpx, -order, F(1, 2), CTX).exact_value == hasse_eval(deeper, -order, F(1, 2), CTX).exact_value
+
+
+def test_far_right_values_within_their_own_bounds():
+    # hurwitz at t = 1/2, where |D| is about 2^(Re s): a value rounded to
+    # precision_bits relative to its size was off by 8.2e-28 at s = 40 and by
+    # 3.9e-10 at s = 100+3i, far above the bounds the routes reported.  At
+    # 100+3i the operator route's bound takes the case right of Re t/e + 1.
+    t = F(1, 2)
+    for s in (40, mpmath.mpc(100, 3)):
+        with mp.workprec(500):
+            ref = mpmath.zeta(s, mpmath.mpf(1) / 2)
+        for route in (continue_dirichlet, direct_sum, oracle_eval):
+            r = route(GEO, s, t, CTX)
+            with mp.workprec(500):
+                err = abs(r.mpc() - ref)
+            assert err <= r.tail_bound, (route.__name__, s, err, r.tail_bound)
+
+
+def test_incgamma_on_an_inexact_lerch_matches_the_operator_route():
+    # an inexact w takes the Lerch branch of the integrand's alpha majorant
+    t = F(7, 3)
+    for w in (mpmath.mpf(1) / 3, mpmath.mpc(0.6, 0.5)):
+        desc = LerchDescriptor(w)
+        for s in (mpmath.mpc(2.5, 1), mpmath.mpc(-1.5, 2), mpmath.mpc(0.5, -3)):
+            a = incgamma_eval(desc, s, t, CTX)
+            b = continue_dirichlet(desc, s, t, CTX)
+            assert abs(a.mpc() - b.mpc()) <= a.tail_bound + b.tail_bound, (w, s)

@@ -345,7 +345,6 @@ def _alpha_exp_arg_series(name, order, prec):
     from tamezeta.bernoulli import _todd_base
     from tamezeta.scalar import as_mpf
     from tamezeta.series import TruncSeries
-    from tamezeta.tame import _zeta_even_coefficient
 
     def exp_series(sign, start, length, order):
         return TruncSeries(
@@ -363,7 +362,7 @@ def _alpha_exp_arg_series(name, order, prec):
         ypow, y2 = y, y * y  # y^(2n-1), starting at n = 1
         n = 1
         while 2 * n - 1 <= order:
-            acc = acc - (ypow * _zeta_even_coefficient(2 * n, prec)).shift_mul(1)
+            acc = acc - (ypow * mpmath.zeta(2 * n)).shift_mul(1)
             ypow = ypow * y2
             n += 1
         return acc - exp_series(-1, 0, order + 1, order).shift_mul(1) * (mpmath.mpf(1) / 2)

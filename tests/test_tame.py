@@ -294,6 +294,20 @@ def test_character_descriptor_validation():
         BuiltinDescriptor("nope")
 
 
+def test_rational_families_are_rational_descriptors():
+    # each family's constructor returns its num/den, written out by hand here
+    assert CharacterDescriptor(3, (1, -1, 0), power=2) == RationalDescriptor((1, -1, 0), (1, 0, 0, -2, 0, 0, 1))
+    assert BarnesDescriptor((1, 2)) == RationalDescriptor((1,), (1, -1, -1, 1))
+    # (1 + 4z + z^2 - (1 - z^2)^4)/z over (1 - z^2)^4
+    assert EhrhartDescriptor((1, 4, 1), 2, 3) == RationalDescriptor(
+        (4, 5, 0, -6, 0, 4, 0, -1), (1, 0, -4, 0, 6, 0, -4, 0, 1)
+    )
+    with pytest.raises(ValueError):
+        CharacterDescriptor(3, (1, -1, 0), 0)
+    with pytest.raises(ValueError):
+        BarnesDescriptor((2, 0))
+
+
 def _principal_parts(desc, prec):
     """(q, c_1..c_mult) at each singularity of a rational descriptor."""
     from tamezeta.tame import _laurent_of_rational, singularities
